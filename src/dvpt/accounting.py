@@ -11,17 +11,16 @@ report carries an explicit term-by-term decomposition of the gap instead
 of forcing agreement.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from . import model as model_mod
-from .peft import FreezePolicy
+from .peft import ADAPTERS, FreezePolicy
 from .vit import ConfigError
 
 # Reported totals for the ViT-B/16 configuration (m=50, d'=20, d=768,
 # L=12), kept as reference constants for side-by-side comparison.
 REFERENCE_TOTALS_VITB16 = {1: 457_446, 2: 268_414}
-REFERENCE_FRACTION_VITB16 = {1: 0.0054, 2: 0.0031}
-REFERENCE_BACKBONE_MILLIONS = 86.2935
 
 
 def closed_form(m, d_prime, d, depth, share_every):
@@ -51,7 +50,6 @@ class ParamReport:
     frozen: int = 0
     closed_form_value: int = None
     discrepancy_terms: dict = None
-    reference_total: int = None
 
     @property
     def total(self):
@@ -68,38 +66,30 @@ class ParamReport:
         return self.trainable - self.closed_form_value
 
 
-def _count(shape):
-    n = 1
-    for s in shape:
-        n *= s
-    return n
-
-
 def _report_from_shapes(shapes, policy, cfg, dvpt_cfg):
     report = ParamReport()
     for name in sorted(shapes):
         shape = tuple(shapes[name])
-        count = _count(shape)
+        count = math.prod(shape)
         trainable = policy.is_trainable(name)
         report.rows.append(ParamRow(name, shape, count, trainable))
         if trainable:
             report.trainable += count
         else:
             report.frozen += count
-    if policy.mode == "dvpt" and dvpt_cfg is not None:
+    if policy.variant == ADAPTERS and dvpt_cfg is not None:
         m, dp, d = dvpt_cfg.num_prompts, dvpt_cfg.hidden_dim, cfg.embed_dim
-        blocks = dvpt_cfg.num_blocks(cfg.depth)
         report.closed_form_value = closed_form(m, dp, d, cfg.depth, dvpt_cfg.share_every)
-        head = d * cfg.num_classes + cfg.num_classes
-        prompt_width = m * (d - dp)
-        gap = report.trainable - report.closed_form_value
-        # enumeration - closed form, term by term; must sum exactly to the gap
+        # enumeration - closed form, term by term
         report.discrepancy_terms = {
-            "head_layer": head,
-            "gates": blocks,
-            "prompt_width (m*(d-d'))": prompt_width,
-            "bias_bookkeeping": gap - head - blocks - prompt_width,
+            "head_layer": d * cfg.num_classes + cfg.num_classes,
+            "gates": dvpt_cfg.num_blocks(cfg.depth),
+            "prompt_width (m*(d-d'))": m * (d - dp),
         }
+        if sum(report.discrepancy_terms.values()) != report.discrepancy:
+            raise AssertionError(
+                f"enumerated trainable count {report.trainable} != closed form "
+                f"{report.closed_form_value} + {report.discrepancy_terms}")
     return report
 
 
@@ -117,12 +107,7 @@ def report_from_config(cfg, dvpt_cfg, mode):
     """Same report computed from the shape table alone, so large
     configurations can be counted without allocating tensors."""
     policy = FreezePolicy(mode)
-    if mode in ("full_finetune", "linear_probe"):
-        shapes = model_mod.param_shapes(cfg, None)
-    elif mode == "vpt_only":
-        shapes = model_mod.param_shapes(cfg, dvpt_cfg, prompts_only=True)
-    else:
-        shapes = model_mod.param_shapes(cfg, dvpt_cfg)
+    shapes = model_mod.param_shapes(cfg, *policy.model_args(dvpt_cfg))
     return _report_from_shapes(shapes, policy, cfg, dvpt_cfg)
 
 

@@ -8,18 +8,19 @@ Layout (little-endian throughout):
     payload: scalars, contiguous row-major, in entry order
     trailer: u32 CRC32 of the payload
 
-Entries are sorted by name, so save -> load -> save is byte-identical.
+Entries are sorted by name, so save -> load -> save is byte-identical;
+the loader rejects any other order, which also catches duplicated names.
 A fine-tuning checkpoint contains only the tensors its freeze policy
 marks trainable; the full backbone is saved the same way under the
 full_finetune policy.
 """
 
-import os
 import struct
 import zlib
 
 import numpy as np
 
+from . import binfile
 from . import model as model_mod
 
 MAGIC = b"DVPT"
@@ -28,7 +29,7 @@ _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-class CorruptCheckpointError(ValueError):
+class CorruptCheckpointError(binfile.CorruptFileError):
     """Magic, structure or CRC failure; nothing is partially loaded."""
 
 
@@ -52,64 +53,39 @@ def save_checkpoint(path, tensors):
     for name in names:
         arr = arrays[name]
         encoded = name.encode("utf-8")
-        header.append(struct.pack("<H", len(encoded)))
-        header.append(encoded)
-        header.append(struct.pack("<B", arr.ndim))
-        header.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        header.append(struct.pack("<B", _DTYPE_TAGS[arr.dtype]))
+        header.append(struct.pack("<H", len(encoded)) + encoded)
+        header.append(struct.pack(f"<B{arr.ndim}IB", arr.ndim, *arr.shape, _DTYPE_TAGS[arr.dtype]))
         payload.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
     body = b"".join(payload)
-    blob = b"".join(header) + body + struct.pack("<I", zlib.crc32(body))
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    binfile.atomic_write(path, [*header, body, struct.pack("<I", zlib.crc32(body))])
 
 
 def load_checkpoint(path):
     """Read a checkpoint into an ordered name -> ndarray dict."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise CorruptCheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    try:
-        version, count = struct.unpack_from("<II", blob, 4)
-        if version != VERSION:
-            raise CorruptCheckpointError(f"{path}: unsupported version {version}")
-        offset = 12
-        entries = []
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{rank}I", blob, offset)
-            offset += 4 * rank
-            (tag,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            if tag not in _TAG_DTYPES:
-                raise CorruptCheckpointError(f"{path}: unknown dtype tag {tag}")
-            entries.append((name, shape, _TAG_DTYPES[tag]))
-        payload = blob[offset:-4]
-        (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    except struct.error as exc:
-        raise CorruptCheckpointError(f"{path}: truncated header ({exc})") from exc
+    reader = binfile.Reader(path, MAGIC, CorruptCheckpointError)
+    version, count = reader.unpack("II")
+    if version != VERSION:
+        raise reader.error(f"unsupported version {version}")
+    entries = []
+    for _ in range(count):
+        (name_len,) = reader.unpack("H")
+        name = reader.text(name_len, "tensor name")
+        if entries and name <= entries[-1][0]:
+            raise reader.error(f"tensor {name!r} out of order or duplicated")
+        (rank,) = reader.unpack("B")
+        *shape, tag = reader.unpack(f"{rank}IB")
+        if tag not in _TAG_DTYPES:
+            raise reader.error(f"unknown dtype tag {tag}")
+        entries.append((name, tuple(shape), _TAG_DTYPES[tag]))
+    start = reader.offset
+    tensors = {name: reader.array(dtype, shape, f"tensor {name!r}")
+               for name, shape, dtype in entries}
+    payload = reader.view[start:reader.offset]
+    (crc,) = reader.unpack("I", "CRC trailer")
+    if reader.remaining:
+        raise reader.error(f"{reader.remaining} trailing bytes")
     if zlib.crc32(payload) != crc:
-        raise CorruptCheckpointError(f"{path}: payload CRC mismatch")
-    tensors = {}
-    cursor = 0
-    for name, shape, dtype in entries:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = n * dtype.itemsize
-        chunk = payload[cursor:cursor + nbytes]
-        if len(chunk) != nbytes:
-            raise CorruptCheckpointError(f"{path}: payload short for tensor {name!r}")
-        cursor += nbytes
-        tensors[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-    if cursor != len(payload):
-        raise CorruptCheckpointError(f"{path}: {len(payload) - cursor} trailing payload bytes")
+        raise reader.error("payload CRC mismatch")
     return tensors
 
 

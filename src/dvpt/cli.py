@@ -2,7 +2,7 @@
 
 Commands: pretrain, finetune, eval, count-params, grad-check, synth-data.
 Exit codes: 0 ok, 1 check failed, 2 config error, 3 architecture
-mismatch, 4 corrupt file.
+mismatch, 4 corrupt checkpoint or dataset file.
 """
 
 import argparse
@@ -11,7 +11,8 @@ import sys
 import numpy as np
 
 from . import accounting, checkpoint, data as data_mod, training
-from .checkpoint import ArchitectureMismatchError, CorruptCheckpointError
+from .binfile import CorruptFileError
+from .checkpoint import ArchitectureMismatchError
 from .config import load_config
 from .data import DatasetError
 from .model import model_for_policy
@@ -184,15 +185,15 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
+    except CorruptFileError as exc:  # before DatasetError: corrupt dataset files subclass it
+        print(f"corrupt file: {exc}", file=sys.stderr)
+        return EXIT_CORRUPT
     except (ConfigError, DatasetError, ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ArchitectureMismatchError as exc:
         print(f"architecture mismatch: {exc}", file=sys.stderr)
         return EXIT_ARCH_MISMATCH
-    except CorruptCheckpointError as exc:
-        print(f"corrupt file: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ Example::
 import configparser
 from dataclasses import dataclass
 
-from .peft import DvptConfig, POLICY_MODES
+from .peft import DvptConfig, FreezePolicy
 from .vit import ConfigError, VitConfig
 
 _SCHEMA = {
@@ -122,16 +122,14 @@ def load_config(path):
             raise ConfigError(f"[run] missing key {key!r}")
     if run["task"] not in ("classification", "segmentation"):
         raise ConfigError(f"[run] task must be classification or segmentation, got {run['task']!r}")
-    if run["policy"] not in POLICY_MODES:
-        raise ConfigError(f"[run] policy must be one of {POLICY_MODES}, got {run['policy']!r}")
+    policy = FreezePolicy(run["policy"])
 
     model = VitConfig(**_parse_section(parser, "model")).validate()
 
     dvpt = None
     if parser.has_section("dvpt"):
         dvpt = DvptConfig(**_parse_section(parser, "dvpt")).validate(model)
-    elif run["policy"] in ("vpt_only", "dvpt"):
-        raise ConfigError(f"policy {run['policy']!r} requires a [dvpt] section")
+    policy.model_args(dvpt)  # raises if the policy's model variant needs [dvpt]
 
     optimizer = OptimizerConfig(**_parse_section(parser, "optimizer"))
     if optimizer.lr < 0 or optimizer.epochs < 0 or optimizer.batch_size <= 0:

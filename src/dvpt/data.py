@@ -14,11 +14,12 @@ Dataset file layout (all little-endian):
     labels : count u16 (classification) or count*H*W u16 (mask grids)
 """
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import binfile
 
 MAGIC = b"DVDS"
 VERSION = 1
@@ -27,7 +28,11 @@ _TAG_TASKS = {v: k for k, v in _TASK_TAGS.items()}
 
 
 class DatasetError(ValueError):
-    """Raised on malformed dataset files or generation parameters."""
+    """Raised on bad generation parameters or a dataset that cannot be saved."""
+
+
+class CorruptDatasetError(binfile.CorruptFileError, DatasetError):
+    """A dataset file that does not parse; nothing is partially loaded."""
 
 
 @dataclass
@@ -81,7 +86,7 @@ def synth_generate(task, count, seed, difficulty=0.3, family="a",
         labels = rng.integers(0, num_classes, size=count).astype(np.uint16)
         for i in range(count):
             img = _classification_image(rng, family, int(labels[i]), h, w, difficulty)
-            images[i, :, :, 0] = img.astype(np.float32)
+            images[i] = img.astype(np.float32)[:, :, None]
         return Dataset(images, labels, "classification", num_classes)
     if task != "segmentation":
         raise DatasetError(f"unknown task {task!r}")
@@ -91,15 +96,8 @@ def synth_generate(task, count, seed, difficulty=0.3, family="a",
         clean = _blob_image(rng, h, w, n_blobs, sigma=2.0 if family == "a" else 1.2)
         labels[i] = (clean > 0.5).astype(np.uint16)
         noisy = clean + rng.normal(0.0, difficulty, size=(h, w))
-        images[i, :, :, 0] = noisy.astype(np.float32)
+        images[i] = noisy.astype(np.float32)[:, :, None]
     return Dataset(images, labels, "segmentation", 2)
-
-
-def _atomic_write(path, payload):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
 
 
 def save_dataset(path, dataset):
@@ -121,36 +119,23 @@ def save_dataset(path, dataset):
         "<IIIIIBI", VERSION, count, h, w, c,
         _TASK_TAGS[dataset.task], dataset.num_classes,
     )
-    payload = header + images.astype("<f4").tobytes() + labels.astype("<u2").tobytes()
-    _atomic_write(path, payload)
+    binfile.atomic_write(path, [header, images.astype("<f4").tobytes(),
+                                labels.astype("<u2").tobytes()])
 
 
 def load_dataset(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise DatasetError(f"{path}: bad magic {blob[:4]!r}")
-    version, count, h, w, c, tag, num_classes = struct.unpack_from("<IIIIIBI", blob, 4)
+    reader = binfile.Reader(path, MAGIC, CorruptDatasetError)
+    version, count, h, w, c, tag, num_classes = reader.unpack("IIIIIBI")
     if version != VERSION:
-        raise DatasetError(f"{path}: unsupported version {version}")
+        raise reader.error(f"unsupported version {version}")
     if tag not in _TAG_TASKS:
-        raise DatasetError(f"{path}: unknown task tag {tag}")
+        raise reader.error(f"unknown task tag {tag}")
     task = _TAG_TASKS[tag]
-    offset = 4 + struct.calcsize("<IIIIIBI")
-    n_image = count * h * w * c
-    images = np.frombuffer(blob, dtype="<f4", count=n_image, offset=offset)
-    images = images.reshape(count, h, w, c).copy()
-    offset += n_image * 4
-    n_label = count if task == "classification" else count * h * w
-    available = (len(blob) - offset) // 2
-    if available != n_label:
-        raise DatasetError(
-            f"{path}: declared count {count} does not match payload "
-            f"({available} labels present, {n_label} expected)"
-        )
-    labels = np.frombuffer(blob, dtype="<u2", count=n_label, offset=offset)
-    labels = (labels.copy() if task == "classification"
-              else labels.reshape(count, h, w).copy())
+    images = reader.array("<f4", (count, h, w, c), "images")
+    label_shape = (count,) if task == "classification" else (count, h, w)
+    labels = reader.array("<u2", label_shape, f"labels of declared count {count}")
+    if reader.remaining:
+        raise reader.error(f"{reader.remaining} bytes beyond declared count {count}")
     if labels.size and labels.max() >= num_classes:
-        raise DatasetError(f"{path}: label {labels.max()} outside [0, {num_classes})")
+        raise reader.error(f"label {labels.max()} outside [0, {num_classes})")
     return Dataset(images, labels, task, num_classes)

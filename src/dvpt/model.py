@@ -19,9 +19,9 @@ accumulate across the layers that share them.
 import numpy as np
 
 from . import peft, vit
-from .peft import DvptConfig, FreezePolicy, build_sharing_map
+from .peft import FreezePolicy, build_sharing_map
 from .tensor import Tensor
-from .vit import ConfigError, VitConfig
+from .vit import ConfigError
 
 TASKS = ("classification", "segmentation")
 
@@ -118,7 +118,6 @@ class Model:
             raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
         self.cfg = cfg.validate()
         self.dvpt_cfg = dvpt_cfg
-        self.prompts_only = prompts_only
         self.task = task
         self.dtype = np.dtype(dtype)
         self.sharing = (
@@ -162,32 +161,12 @@ class Model:
         for t in self.params.values():
             t.grad = None
 
-    def astype(self, dtype):
-        dtype = np.dtype(dtype)
-        for t in self.params.values():
-            t.data = t.data.astype(dtype)
-            t.grad = None
-        self.dtype = dtype
-        return self
-
 
 def model_for_policy(cfg, dvpt_cfg, mode, task="classification",
                      seed=0, dtype=np.float32):
-    """Build the model variant a freeze policy implies and apply it.
-
-    full_finetune / linear_probe use the plain backbone, vpt_only adds
-    prompt tokens, dvpt adds prompts and adapter blocks.
-    """
+    """Build the model variant a freeze policy implies (its row of
+    ``peft.POLICIES``) and apply the policy."""
     policy = FreezePolicy(mode)
-    if mode in ("full_finetune", "linear_probe"):
-        model = Model(cfg, None, task=task, seed=seed, dtype=dtype)
-    elif mode == "vpt_only":
-        if dvpt_cfg is None:
-            raise ConfigError("vpt_only policy needs a dvpt config for the prompt count")
-        model = Model(cfg, dvpt_cfg, prompts_only=True, task=task, seed=seed, dtype=dtype)
-    else:
-        if dvpt_cfg is None:
-            raise ConfigError("dvpt policy needs a dvpt config")
-        model = Model(cfg, dvpt_cfg, task=task, seed=seed, dtype=dtype)
+    model = Model(cfg, *policy.model_args(dvpt_cfg), task=task, seed=seed, dtype=dtype)
     peft.apply_freeze_policy(model, policy)
     return model, policy

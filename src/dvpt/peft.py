@@ -17,7 +17,17 @@ from . import tensor as T
 from . import vit
 from .vit import ConfigError, TokenSequence
 
-POLICY_MODES = ("full_finetune", "linear_probe", "vpt_only", "dvpt")
+# Model variants a freeze policy can need.
+PLAIN, PROMPTS, ADAPTERS = "plain backbone", "prompts only", "prompts plus adapters"
+
+# The freeze policies: mode -> (model variant, name prefixes it trains;
+# "" trains everything).  A new policy is one row here.
+POLICIES = {
+    "full_finetune": (PLAIN, ("",)),
+    "linear_probe": (PLAIN, ("head.",)),
+    "vpt_only": (PROMPTS, ("head.", "prompts")),
+    "dvpt": (ADAPTERS, ("head.", "prompts", "adapter")),
+}
 
 
 @dataclass(frozen=True)
@@ -135,36 +145,33 @@ def dvpt_block_forward(seq, params, block_prefix, adapter_prefix, cfg):
 
 @dataclass(frozen=True)
 class FreezePolicy:
-    """Declarative trainable/frozen partition of the named parameters."""
+    """Declarative trainable/frozen partition of the named parameters,
+    read from its row of ``POLICIES``."""
 
     mode: str
 
     def __post_init__(self):
-        if self.mode not in POLICY_MODES:
-            raise ConfigError(f"unknown policy mode {self.mode!r}; expected one of {POLICY_MODES}")
+        if self.mode not in POLICIES:
+            raise ConfigError(f"unknown policy mode {self.mode!r}; expected one of {tuple(POLICIES)}")
+
+    @property
+    def variant(self):
+        return POLICIES[self.mode][0]
+
+    @property
+    def trains(self):
+        return POLICIES[self.mode][1]
 
     def is_trainable(self, name):
-        if self.mode == "full_finetune":
-            return True
-        if name.startswith("head."):
-            return True
-        if self.mode == "linear_probe":
-            return False
-        if name == "prompts":
-            return True
-        if self.mode == "vpt_only":
-            return False
-        return name.startswith("adapter")
+        return name.startswith(self.trains)
 
-    def resolve(self, names):
-        return {name: self.is_trainable(name) for name in names}
-
-    def required_params(self):
-        """Parameter names (or prefixes) the policy insists exist."""
-        if self.mode in ("vpt_only", "dvpt"):
-            yield "prompts"
-        if self.mode == "dvpt":
-            yield "adapter0.gate"
+    def model_args(self, dvpt_cfg):
+        """``(dvpt_cfg, prompts_only)`` that build this policy's model variant."""
+        if self.variant == PLAIN:
+            return None, False
+        if dvpt_cfg is None:
+            raise ConfigError(f"policy {self.mode!r} needs a dvpt config (a [dvpt] section)")
+        return dvpt_cfg, self.variant == PROMPTS
 
 
 def apply_freeze_policy(model, policy):
@@ -173,10 +180,10 @@ def apply_freeze_policy(model, policy):
     Frozen tensors drop any gradient buffer so the optimizer can never
     touch them.
     """
-    for required in policy.required_params():
-        if required not in model.params:
+    for prefix in policy.trains:
+        if not any(name.startswith(prefix) for name in model.params):
             raise ConfigError(
-                f"policy {policy.mode!r} expects parameter {required!r}, "
+                f"policy {policy.mode!r} trains {prefix!r} parameters, "
                 "which this model does not have"
             )
     for name, tensor in model.params.items():

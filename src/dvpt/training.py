@@ -2,7 +2,6 @@
 gradient checker and the training loop.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -331,9 +330,3 @@ def history_csv(history, task):
         rows = [f"{h['epoch']},{h['loss']:.6f},{h.get('dice', float('nan')):.6f},"
                 f"{h.get('iou', float('nan')):.6f}" for h in history]
     return "\n".join([header] + rows) + "\n"
-
-
-def timed(fn, *args, **kwargs):
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start

@@ -88,7 +88,17 @@ class TestDiscrepancy:
     def test_decomposition_on_arbitrary_config(self, desk_cfg, desk_dvpt):
         report = report_from_config(desk_cfg, desk_dvpt, "dvpt")
         assert sum(report.discrepancy_terms.values()) == report.discrepancy
-        assert report.discrepancy_terms["bias_bookkeeping"] == 0
+        assert list(report.discrepancy_terms) == ["head_layer", "gates", "prompt_width (m*(d-d'))"]
+
+    def test_enumeration_off_closed_form_raises(self, desk_cfg, desk_dvpt, monkeypatch):
+        real = accounting.model_mod.param_shapes
+
+        def one_extra_trainable_scalar(*args, **kwargs):
+            return {**real(*args, **kwargs), "adapter0.extra": ()}
+
+        monkeypatch.setattr(accounting.model_mod, "param_shapes", one_extra_trainable_scalar)
+        with pytest.raises(AssertionError, match="closed form"):
+            report_from_config(desk_cfg, desk_dvpt, "dvpt")
 
     def test_fraction_below_bound(self, paper_cfg):
         report = report_from_config(paper_cfg, DvptConfig(50, 20, 1, 0.0), "dvpt")

@@ -12,11 +12,14 @@ from dvpt.vit import VitConfig
 
 
 class TestSynthGenerate:
-    def test_same_seed_bitwise_identical(self):
-        a = synth_generate("classification", 10, seed=7, family="a")
-        b = synth_generate("classification", 10, seed=7, family="a")
-        assert np.array_equal(a.images, b.images)
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_same_seed_bitwise_identical(self, channels, task):
+        a = synth_generate(task, 10, seed=7, family="a", channels=channels)
+        b = synth_generate(task, 10, seed=7, family="a", channels=channels)
+        assert a.images.tobytes() == b.images.tobytes()
         assert np.array_equal(a.labels, b.labels)
+        assert np.isfinite(a.images).all()
 
     def test_different_seed_differs(self):
         a = synth_generate("classification", 10, seed=7)
