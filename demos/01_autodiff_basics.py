@@ -30,6 +30,7 @@ print(f"loss = {loss.item():+.6f}")
 backward(loss, tape)
 print(f"x.grad:\n{x.grad}")
 print(f"mask.grad is {mask.grad}  (constants receive no gradient)")
+print(f"hidden.grad is {hidden.grad}  (intermediates pass their gradient on and keep none)")
 
 # --- cross-check dloss/dw[0,0] against central finite differences --------
 step = 1e-6

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Commands: pretrain, finetune, eval, count-params, grad-check, synth-data.
-Exit codes: 0 ok, 1 check failed, 2 config error, 3 architecture
-mismatch, 4 corrupt checkpoint or dataset file.
+Exit codes: 0 ok, 1 check failed, 2 config error (including an
+unreadable or unwritable path, or a dataset that does not fit the model),
+3 architecture mismatch, 4 corrupt checkpoint or dataset file.
 """
 
 import argparse
@@ -32,6 +33,14 @@ def _load_data(cfg, seed_override=None):
         ds = data_mod.load_dataset(d.path)
         if ds.task != cfg.task:
             raise ConfigError(f"dataset task {ds.task!r} does not match [run] task {cfg.task!r}")
+        m = cfg.model
+        if ds.images.shape[1:] != (m.image_h, m.image_w, m.channels):
+            raise ConfigError(
+                f"dataset images are {ds.images.shape[1:]} (H, W, C), [model] expects "
+                f"{(m.image_h, m.image_w, m.channels)}")
+        if ds.labels.size and ds.labels.max() >= m.num_classes:
+            raise ConfigError(
+                f"dataset label {ds.labels.max()} outside [model] num_classes = {m.num_classes}")
         return ds
     seed = d.seed if seed_override is None else seed_override
     return data_mod.synth_generate(
@@ -194,6 +203,9 @@ def main(argv=None):
     except ArchitectureMismatchError as exc:
         print(f"architecture mismatch: {exc}", file=sys.stderr)
         return EXIT_ARCH_MISMATCH
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -115,6 +115,8 @@ def save_dataset(path, dataset):
         raise DatasetError(
             f"label {labels.max()} outside [0, {dataset.num_classes})"
         )
+    if not np.isfinite(images).all():
+        raise DatasetError("images hold a non-finite pixel")
     header = MAGIC + struct.pack(
         "<IIIIIBI", VERSION, count, h, w, c,
         _TASK_TAGS[dataset.task], dataset.num_classes,
@@ -132,6 +134,8 @@ def load_dataset(path):
         raise reader.error(f"unknown task tag {tag}")
     task = _TAG_TASKS[tag]
     images = reader.array("<f4", (count, h, w, c), "images")
+    if not np.isfinite(images).all():
+        raise reader.error("images hold a non-finite pixel")
     label_shape = (count,) if task == "classification" else (count, h, w)
     labels = reader.array("<u2", label_shape, f"labels of declared count {count}")
     if reader.remaining:

@@ -133,35 +133,35 @@ def active_tape():
 
 def backward(loss, tape):
     """Accumulate d(loss)/d(tensor) into ``grad`` for every requires_grad
-    ancestor of ``loss`` recorded on ``tape``.
+    leaf of ``loss`` on ``tape``.
 
-    Gradients add onto whatever is already in ``grad``; running backward
-    twice without zeroing doubles every gradient exactly.
+    A leaf is a tensor that no node on ``tape`` produced: parameters and
+    user inputs.  Intermediates pass their gradient on and keep
+    ``grad`` None; each one's gradient is dropped as soon as its node has
+    consumed it.  Gradients add onto whatever is already in ``grad``;
+    running backward twice without zeroing doubles every gradient exactly.
     """
     if loss.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
-    flowing = {id(loss): np.ones_like(loss.data)}
-    touched = {id(loss): loss}
+    flowing = {id(loss): (loss, np.ones_like(loss.data))}
     for node in reversed(tape._nodes):
-        out_grad = flowing.get(id(node.output))
-        if out_grad is None:
+        entry = flowing.pop(id(node.output), None)
+        if entry is None:
             continue
-        grads = node.backward_fn(out_grad)
+        grads = node.backward_fn(entry[1])
         for tensor, g in zip(node.inputs, grads):
             if g is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
             if key in flowing:
-                flowing[key] = flowing[key] + g
-            else:
-                flowing[key] = g
-                touched[key] = tensor
-    for key, tensor in touched.items():
+                g = flowing[key][1] + g
+            flowing[key] = (tensor, g)
+    for tensor, g in flowing.values():
         if not tensor.requires_grad:
             continue
         if tensor.grad is None:
             tensor.grad = np.zeros_like(tensor.data)
-        tensor.grad += flowing[key]
+        tensor.grad += g
 
 
 def _emit(data, inputs, backward_fn):
@@ -188,7 +188,10 @@ def _reduce_to_shape(grad, shape):
 
 def add(a, b):
     def bwd(og):
-        return (_reduce_to_shape(og, a.shape), _reduce_to_shape(og, b.shape))
+        return (
+            _reduce_to_shape(og, a.shape) if a.requires_grad else None,
+            _reduce_to_shape(og, b.shape) if b.requires_grad else None,
+        )
 
     return _emit(a.data + b.data, (a, b), bwd)
 
@@ -196,8 +199,8 @@ def add(a, b):
 def mul(a, b):
     def bwd(og):
         return (
-            _reduce_to_shape(og * b.data, a.shape),
-            _reduce_to_shape(og * a.data, b.shape),
+            _reduce_to_shape(og * b.data, a.shape) if a.requires_grad else None,
+            _reduce_to_shape(og * a.data, b.shape) if b.requires_grad else None,
         )
 
     return _emit(a.data * b.data, (a, b), bwd)
@@ -205,9 +208,12 @@ def mul(a, b):
 
 def div(a, b):
     def bwd(og):
-        ga = og / b.data
-        gb = -og * a.data / (b.data * b.data)
-        return (_reduce_to_shape(ga, a.shape), _reduce_to_shape(gb, b.shape))
+        ga = gb = None
+        if a.requires_grad:
+            ga = _reduce_to_shape(og / b.data, a.shape)
+        if b.requires_grad:
+            gb = _reduce_to_shape(-og * a.data / (b.data * b.data), b.shape)
+        return (ga, gb)
 
     return _emit(a.data / b.data, (a, b), bwd)
 
@@ -268,9 +274,12 @@ def matmul(a, b):
         raise ShapeError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
 
     def bwd(og):
-        ga = np.matmul(og, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), og)
-        return (_reduce_to_shape(ga, a.shape), _reduce_to_shape(gb, b.shape))
+        ga = gb = None
+        if a.requires_grad:
+            ga = _reduce_to_shape(np.matmul(og, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _reduce_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), og), b.shape)
+        return (ga, gb)
 
     return _emit(np.matmul(a.data, b.data), (a, b), bwd)
 
@@ -322,10 +331,10 @@ def concat(tensors, axis):
 
     def bwd(og):
         pieces = []
-        for i in range(len(tensors)):
+        for i, t in enumerate(tensors):
             idx = [slice(None)] * og.ndim
             idx[axis] = slice(offsets[i], offsets[i + 1])
-            pieces.append(og[tuple(idx)])
+            pieces.append(og[tuple(idx)] if t.requires_grad else None)
         return tuple(pieces)
 
     return _emit(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
@@ -426,15 +435,19 @@ def layernorm(x, gamma, beta, eps=1e-5):
     out_data = xhat * gamma.data + beta.data
 
     def bwd(og):
-        dxhat = og * gamma.data
-        dx = inv_std * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = dgamma = dbeta = None
+        if x.requires_grad:
+            dxhat = og * gamma.data
+            dx = inv_std * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
         reduce_axes = tuple(range(og.ndim - 1))
-        dgamma = (og * xhat).sum(axis=reduce_axes).reshape(gamma.shape)
-        dbeta = og.sum(axis=reduce_axes).reshape(beta.shape)
+        if gamma.requires_grad:
+            dgamma = (og * xhat).sum(axis=reduce_axes).reshape(gamma.shape)
+        if beta.requires_grad:
+            dbeta = og.sum(axis=reduce_axes).reshape(beta.shape)
         return (dx, dgamma, dbeta)
 
     return _emit(out_data, (x, gamma, beta), bwd)

@@ -144,6 +144,63 @@ class TestCliExitCodes:
         assert code == cli.EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
+    def test_missing_backbone_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        missing = tmp_path / "missing.ckpt"
+        code = cli.main(["eval", "--config", cfg, "--backbone", str(missing),
+                         "--task-ckpt", str(missing)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and str(missing) in err and "Traceback" not in err
+
+    def test_missing_data_path_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.dvds"
+        cfg = write_config(tmp_path, mutate=lambda t: t.replace(
+            "source = synthetic", f"source = file\npath = {missing}"))
+        code = cli.main(["synth-data", "--config", cfg, "--out", str(tmp_path / "x.dvds")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and str(missing) in err
+
+
+def dataset_config(tmp_path, dataset):
+    """A run config whose [data] reads ``dataset`` from a DVDS file."""
+    from dvpt.data import save_dataset
+    path = tmp_path / "data.dvds"
+    save_dataset(path, dataset)
+    return write_config(tmp_path, mutate=lambda t: t.replace(
+        "source = synthetic", f"source = file\npath = {path}"))
+
+
+class TestDatasetFitsModel:
+    """A well-formed dataset file that does not fit [model] is a config error."""
+
+    def _eval(self, cfg, workspace):
+        return cli.main(["eval", "--config", cfg, "--backbone", str(workspace["backbone"]),
+                         "--task-ckpt", str(workspace["task"])])
+
+    def test_image_geometry_mismatch_exits_two(self, tmp_path, workspace, capsys):
+        from dvpt.data import synth_generate
+        cfg = dataset_config(tmp_path, synth_generate("classification", 4, seed=5, h=8, w=8))
+        assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "(8, 8, 1)" in err
+
+    def test_channel_mismatch_exits_two(self, tmp_path, workspace, capsys):
+        from dvpt.data import synth_generate
+        cfg = dataset_config(tmp_path, synth_generate("classification", 4, seed=5, channels=3))
+        assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
+        assert "(16, 16, 3)" in capsys.readouterr().err
+
+    def test_label_outside_num_classes_exits_two(self, tmp_path, workspace, capsys):
+        from dvpt.data import Dataset, synth_generate
+        ds = synth_generate("classification", 4, seed=5)
+        ds = Dataset(ds.images, np.array([0, 8, 1, 2], dtype=np.uint16), ds.task, 9)
+        cfg = dataset_config(tmp_path, ds)
+        assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "label 8" in err
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -223,6 +280,14 @@ class TestCliWorkflow:
                              "--backbone", str(workspace["backbone"]),
                              "--task-ckpt", str(ckpt)]) == 0
             assert "accuracy=" in capsys.readouterr().out
+
+    def test_finetune_out_into_missing_directory_exits_two(self, workspace, capsys):
+        out = workspace["tmp"] / "no_such_dir" / "task.ckpt"
+        code = cli.main(["finetune", "--config", workspace["ft_cfg"],
+                         "--backbone", str(workspace["backbone"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
 
     def test_finetune_prints_param_report(self, workspace, capsys):
         tmp = workspace["tmp"]

@@ -211,6 +211,29 @@ class TestRegressions:
             path.write_bytes(blob)
         assert code == cli.EXIT_CORRUPT and err.startswith("corrupt file:")
 
+    def test_exponent_flip_to_non_finite_pixel_is_corrupt(self, samples):
+        path = samples["root"] / "eval.dvds"
+        blob = path.read_bytes()
+        pixels = np.frombuffer(blob, "<f4", count=16 * 16, offset=29)
+        i = int(np.flatnonzero((np.abs(pixels) >= 1) & (np.abs(pixels) < 2))[0])
+        bad = bytearray(blob)
+        bad[29 + 4 * i + 3] ^= 0x40  # top exponent bit: [1, 2) becomes inf or NaN
+        try:
+            path.write_bytes(bytes(bad))
+            with pytest.raises(CorruptDatasetError, match="non-finite"):
+                load_dataset(path)
+            code, err = run_eval(samples["root"])
+        finally:
+            path.write_bytes(blob)
+        assert code == cli.EXIT_CORRUPT and err.startswith("corrupt file:")
+
+    def test_non_finite_pixel_is_not_saved(self, tmp_path):
+        ds = synth_generate("classification", 2, seed=4)
+        ds.images[1, 3, 3, 0] = np.inf
+        with pytest.raises(DatasetError, match="non-finite"):
+            save_dataset(tmp_path / "x.dvds", ds)
+        assert os.listdir(tmp_path) == []
+
     def test_undecodable_checkpoint_name_is_corrupt(self, samples, tmp_path):
         blob = bytearray(samples["checkpoint"])
         blob[14] = 0xFF  # first byte of the first tensor name

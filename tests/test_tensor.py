@@ -225,3 +225,131 @@ def test_split_roundtrip_and_grads():
 def test_split_size_mismatch():
     with pytest.raises(ShapeError):
         T.split(Tensor(np.zeros((2, 5))), [2, 2], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# backward skips frozen inputs and keeps gradients on leaves only
+
+class RecordingTape(Tape):
+    """Keeps every (inputs, returned gradients) pair that backward sees,
+    wrapping ``record`` the way a tracing tape does."""
+
+    def __init__(self):
+        super().__init__()
+        self.returned = []
+
+    def record(self, inputs, output, backward_fn):
+        def kept(og):
+            grads = backward_fn(og)
+            self.returned.append((inputs, grads))
+            return grads
+
+        super().record(inputs, output, kept)
+
+
+_MULTI_INPUT_CASES = [
+    ("add", T.add, [(3, 4), (4,)]),
+    ("mul", T.mul, [(3, 4), (3, 1)]),
+    ("div", T.div, [(3, 4), (3, 4)]),
+    ("matmul", T.matmul, [(2, 3, 4), (4, 5)]),
+    ("concat", lambda *ts: T.concat(ts, axis=1), [(2, 3), (2, 1), (2, 4)]),
+    ("layernorm", T.layernorm, [(2, 3, 6), (6,), (6,)]),
+]
+_FROZEN_SLOT_CASES = [(name, op, shapes, slot)
+                      for name, op, shapes in _MULTI_INPUT_CASES
+                      for slot in range(len(shapes))]
+
+
+@pytest.mark.parametrize("name,op,shapes,slot", _FROZEN_SLOT_CASES,
+                         ids=[f"{c[0]}-frozen{c[3]}" for c in _FROZEN_SLOT_CASES])
+def test_frozen_operand_gets_no_gradient(name, op, shapes, slot):
+    rng = np.random.default_rng(31)
+    values = [rng.normal(size=s) for s in shapes]
+    values[-1] = np.abs(values[-1]) + 0.5  # a safe divisor for div
+    proj = Tensor(rng.normal(size=op(*[Tensor(v) for v in values]).shape))
+
+    def run(frozen):
+        inputs = [Tensor(v.copy(), requires_grad=i != frozen) for i, v in enumerate(values)]
+        with RecordingTape() as tape:
+            loss = T.tsum(T.mul(op(*inputs), proj))
+        backward(loss, tape)
+        op_inputs, grads = tape.returned[-1]  # the op is recorded first, so replayed last
+        assert all(a is b for a, b in zip(op_inputs, inputs))
+        return inputs, grads
+
+    _, all_grads = run(frozen=None)
+    inputs, grads = run(frozen=slot)
+    assert grads[slot] is None and inputs[slot].grad is None
+    for i, (g, full) in enumerate(zip(grads, all_grads)):
+        if i != slot:
+            assert g.dtype == full.dtype and g.tobytes() == full.tobytes(), i
+
+
+def test_dvpt_step_computes_no_frozen_gradient(desk_cfg, desk_dvpt, monkeypatch):
+    from dvpt import training
+    from dvpt.model import model_for_policy
+
+    tapes = []
+
+    def recording_tape():
+        tapes.append(RecordingTape())
+        return tapes[-1]
+
+    monkeypatch.setattr(training, "Tape", recording_tape)
+    model, policy = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=3)
+    rng = np.random.default_rng(12)
+    images = rng.normal(size=(4, 16, 16, 1)).astype(np.float32)
+    training.train_loop(model, images, rng.integers(0, 5, size=4), policy, epochs=1,
+                        batch_size=4, eval_metrics=False)
+    assert len(tapes) == 1
+    pairs = [(t, g) for inputs, grads in tapes[0].returned for t, g in zip(inputs, grads)]
+    frozen = [g for t, g in pairs if not t.requires_grad]
+    assert len(frozen) > 0  # the step does meet frozen weights
+    assert all(g is None for g in frozen)
+    assert all(g is not None for t, g in pairs if t.requires_grad)
+
+
+def test_grad_is_written_on_leaves_only():
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    frozen = Tensor(rng.normal(size=(2,)))
+    with Tape() as tape:
+        h = T.matmul(x, w)
+        y = T.gelu(T.add(h, frozen))
+        loss = T.tsum(y)
+    backward(loss, tape)
+    assert h.grad is None and y.grad is None and loss.grad is None
+    assert frozen.grad is None
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_scalar_on_two_paths_matches_finite_differences():
+    rng = np.random.default_rng(33)
+    gate = Tensor(np.array(0.7), requires_grad=True)
+    a = Tensor(rng.normal(size=(3, 4)))
+    b = Tensor(rng.normal(size=(4,)))
+
+    def forward():
+        return T.tsum(T.add(T.mul(a, gate), T.exp(T.mul(b, gate))))
+
+    with Tape() as tape:
+        loss = forward()
+    backward(loss, tape)
+    fd = finite_diff(lambda: forward().item(), gate.data)
+    assert gate.grad.shape == () and rel_err(gate.grad, fd).max() < 1e-6
+
+
+def test_add_operand_to_itself_matches_finite_differences():
+    rng = np.random.default_rng(34)
+    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    proj = Tensor(rng.normal(size=(3, 5)))
+
+    def forward():
+        return T.tsum(T.mul(T.gelu(T.add(x, x)), proj))
+
+    with Tape() as tape:
+        loss = forward()
+    backward(loss, tape)
+    fd = finite_diff(lambda: forward().item(), x.data)
+    assert rel_err(x.grad, fd).max() < 1e-6
