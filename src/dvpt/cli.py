@@ -2,11 +2,14 @@
 
 Commands: pretrain, finetune, eval, count-params, grad-check, synth-data.
 Exit codes: 0 ok, 1 check failed, 2 config error (including an
-unreadable or unwritable path, or a dataset that does not fit the model),
-3 architecture mismatch, 4 corrupt checkpoint or dataset file.
+unreadable or unwritable path, a dataset that does not fit the model, or
+a training batch with a non-finite loss or gradient), 3 architecture
+mismatch, 4 corrupt checkpoint or dataset file.
 """
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -48,6 +51,21 @@ def _load_data(cfg, seed_override=None):
         h=cfg.model.image_h, w=cfg.model.image_w, channels=cfg.model.channels,
         num_classes=cfg.model.num_classes,
     )
+
+
+def _check_writable(*paths):
+    """Raise an OSError naming the first path (None is skipped) whose
+    directory is missing or not writable, before a command does any work."""
+    for path in paths:
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(errno.ENOENT, "output directory does not exist", path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+        if not os.access(directory, os.W_OK):
+            raise PermissionError(errno.EACCES, "output directory is not writable", path)
 
 
 def _seed(cfg, args):
@@ -193,6 +211,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        _check_writable(getattr(args, "out", None), getattr(args, "history", None))
         return _COMMANDS[args.command](cfg, args)
     except CorruptFileError as exc:  # before DatasetError: corrupt dataset files subclass it
         print(f"corrupt file: {exc}", file=sys.stderr)

@@ -102,10 +102,7 @@ def cavpt(seq):
         raise ConfigError("cross-attention needs at least one prompt row")
     d_prime = seq.tokens.shape[2]
     prompts, keys = T.split(seq.tokens, [m, seq.seq_len - m], axis=1)
-    scores = T.scale(T.matmul(prompts, T.transpose(keys, (0, 2, 1))),
-                     1.0 / np.sqrt(d_prime))
-    attn = T.softmax(scores, axis=-1)  # [b, m, n+1]
-    return T.matmul(attn, keys)
+    return T.attention(prompts, keys, keys, 1.0 / np.sqrt(d_prime))
 
 
 def reassemble(p_prime, seq):

@@ -253,11 +253,22 @@ def log(a):
 def gelu(a):
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    # out= keeps 0-d results arrays: a plain ufunc call returns a numpy
+    # scalar there, which the in-place steps cannot write into.
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def bwd(og):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return (og * (cdf + x * pdf),)
+        g = np.multiply(x, -0.5, out=np.empty_like(x))
+        g *= x
+        np.exp(g, out=g)
+        g *= _INV_SQRT_2PI
+        g *= x
+        g += cdf
+        # og may be wider than x (a float64 consumer), so not in place.
+        return (og * g,)
 
     return _emit(x * cdf, (a,), bwd)
 
@@ -265,7 +276,9 @@ def gelu(a):
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a, b):
+def _check_matmul(a, b):
+    """Raise ShapeError unless ``a @ b`` is defined on one dtype; takes
+    Tensors or arrays."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -273,15 +286,83 @@ def matmul(a, b):
     if a.dtype != b.dtype:
         raise ShapeError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
 
+
+def _matmul_grads(og, a, b, need_a, need_b):
+    """The matmul rule: gradients of arrays ``a`` and ``b`` through a @ b,
+    None where not needed."""
+    ga = gb = None
+    if need_a:
+        ga = _reduce_to_shape(np.matmul(og, np.swapaxes(b, -1, -2)), a.shape)
+    if need_b:
+        gb = _reduce_to_shape(np.matmul(np.swapaxes(a, -1, -2), og), b.shape)
+    return ga, gb
+
+
+def matmul(a, b):
+    _check_matmul(a, b)
+
     def bwd(og):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _reduce_to_shape(np.matmul(og, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _reduce_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), og), b.shape)
-        return (ga, gb)
+        return _matmul_grads(og, a.data, b.data, a.requires_grad, b.requires_grad)
 
     return _emit(np.matmul(a.data, b.data), (a, b), bwd)
+
+
+def linear(x, weight, bias=None):
+    """x @ weight (+ bias) as one node.
+
+    The bias is added in place into the product, so it must match the
+    product's dtype and last axis exactly; nothing keeps the pre-bias
+    product.
+    """
+    _check_matmul(x, weight)
+    out = np.matmul(x.data, weight.data)
+    if bias is None:
+        inputs = (x, weight)
+    else:
+        if bias.shape != out.shape[-1:] or bias.dtype != out.dtype:
+            raise ShapeError(
+                f"linear bias must be 1-D {out.shape[-1:]} {out.dtype}, "
+                f"got {bias.shape} {bias.dtype}")
+        out += bias.data
+        inputs = (x, weight, bias)
+
+    def bwd(og):
+        grads = _matmul_grads(og, x.data, weight.data, x.requires_grad, weight.requires_grad)
+        if bias is None:
+            return grads
+        return grads + (_reduce_to_shape(og, bias.shape) if bias.requires_grad else None,)
+
+    return _emit(out, inputs, bwd)
+
+
+def attention(q, k, v, factor):
+    """softmax(q @ k^T * factor) @ v over the last two axes, as one node.
+
+    Only the softmax weights are kept for backward, which replays the
+    matmul, softmax, scale, matmul and transpose rules of the unfused
+    chain.  ``k`` and ``v`` may be the same tensor.
+    """
+    factor = float(factor)
+    kt = np.swapaxes(k.data, -1, -2)
+    _check_matmul(q, kt)
+    weights = np.matmul(q.data, kt)
+    _check_matmul(weights, v)
+    weights *= factor
+    _softmax_kernel(weights, -1, out=weights)
+
+    def bwd(og):
+        need_weights = q.requires_grad or k.requires_grad
+        gw, gv = _matmul_grads(og, weights, v.data, need_weights, v.requires_grad)
+        gq = gk = None
+        if need_weights:
+            gs = _softmax_grad(gw, weights, -1)
+            gs *= factor
+            gq, gkt = _matmul_grads(gs, q.data, kt, q.requires_grad, k.requires_grad)
+            if gkt is not None:
+                gk = np.swapaxes(gkt, -1, -2)
+        return (gq, gk, gv)
+
+    return _emit(np.matmul(weights, v.data), (q, k, v), bwd)
 
 
 def transpose(a, axes):
@@ -311,14 +392,6 @@ def broadcast_to(a, shape):
         return (_reduce_to_shape(og, a.shape),)
 
     return _emit(np.broadcast_to(a.data, shape).copy(), (a,), bwd)
-
-
-def linear(x, weight, bias=None):
-    """x @ weight (+ bias).  Not a primitive, just the common composition."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +463,26 @@ def tmean(a, axis=None, keepdims=False):
     return _emit(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
+def _softmax_kernel(x, axis, out=None):
+    """Shift ``x`` by its max along ``axis``, exponentiate and normalise,
+    into ``out`` (a new array when None; may be ``x`` itself)."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_grad(og, out, axis):
+    """The softmax rule, given the softmax output ``out``."""
+    dot = (og * out).sum(axis=axis, keepdims=True)
+    return out * (og - dot)
+
+
 def softmax(a, axis):
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax_kernel(a.data, axis)
 
     def bwd(og):
-        dot = (og * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (og - dot),)
+        return (_softmax_grad(og, out_data, axis),)
 
     return _emit(out_data, (a,), bwd)
 
@@ -427,22 +512,27 @@ def layernorm(x, gamma, beta, eps=1e-5):
         raise ShapeError(
             f"layernorm feature dim mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
         )
+    if gamma.dtype != x.dtype or beta.dtype != x.dtype:
+        raise ShapeError(
+            f"layernorm dtype mismatch: x {x.dtype}, gamma {gamma.dtype}, beta {beta.dtype}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    squares = xhat * xhat
+    var = squares.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out_data = xhat * gamma.data + beta.data
+    xhat *= inv_std
+    out_data = np.multiply(xhat, gamma.data, out=squares)
+    out_data += beta.data
 
     def bwd(og):
         dx = dgamma = dbeta = None
         if x.requires_grad:
             dxhat = og * gamma.data
-            dx = inv_std * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
+            dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+            proj = dxhat * xhat
+            np.multiply(xhat, proj.mean(axis=-1, keepdims=True), out=proj)
+            dx -= proj
+            dx *= inv_std
         reduce_axes = tuple(range(og.ndim - 1))
         if gamma.requires_grad:
             dgamma = (og * xhat).sum(axis=reduce_axes).reshape(gamma.shape)

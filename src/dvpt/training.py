@@ -276,13 +276,18 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, step=1e-5, seed=0):
 # ---------------------------------------------------------------------------
 # training loop
 
+_HUGE_INPUT = ": the input data may hold huge or non-finite values"
+
+
 def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
                seed=0, eval_metrics=True):
     """Seeded mini-batch fine-tuning under a freeze policy.
 
-    Returns a per-epoch history of loss (and metrics).  Verifies at the
-    end, by comparison against a snapshot, that frozen tensors did not
-    move.
+    Returns a per-epoch history of loss (and metrics).  Raises
+    ContractError naming the epoch and batch when a batch's loss is not
+    finite (before it updates anything), or when a gradient is not finite
+    or too large to square (after its update).  Verifies at the end, by
+    comparison against a snapshot, that frozen tensors did not move.
     """
     n = len(images)
     if n == 0:
@@ -301,8 +306,21 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
             model.zero_grad()
             with Tape() as tape:
                 loss = batch_loss(model, images[idx], labels[idx])
+            where = f"at epoch {epoch}, batch {start // batch_size}"
+            if not np.isfinite(loss.item()):
+                raise ContractError(f"non-finite loss {loss.item()} {where}{_HUGE_INPUT}")
             backward(loss, tape)
-            adam_step(model.trainable(), state)
+            trainable = model.trainable()
+            adam_step(trainable, state)
+            # The second moment (running mean of squared gradients) is the
+            # first state to go non-finite, from a gradient that is NaN, inf
+            # or too large to square; while it stays finite, each Adam
+            # update is bounded by a multiple of lr.
+            for name, _ in trainable:
+                if not np.isfinite(state.v[name]).all():
+                    raise ContractError(
+                        f"gradient of {name!r} {where} is not finite or too large to "
+                        f"square{_HUGE_INPUT}")
             losses.append(loss.item())
         entry = {"epoch": epoch, "loss": float(np.mean(losses))}
         if eval_metrics:

@@ -117,9 +117,7 @@ def mhsa(seq, params, prefix, cfg):
     k = heads_view(T.linear(x, params[f"{prefix}.attn.wk.weight"], params[f"{prefix}.attn.wk.bias"]))
     v = heads_view(T.linear(x, params[f"{prefix}.attn.wv.weight"], params[f"{prefix}.attn.wv.bias"]))
 
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = T.softmax(scores, axis=-1)
-    ctx = T.matmul(attn, v)  # [b, h, s, dh]
+    ctx = T.attention(q, k, v, 1.0 / np.sqrt(dh))  # [b, h, s, dh]
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, d))
     out = T.linear(ctx, params[f"{prefix}.attn.wo.weight"], params[f"{prefix}.attn.wo.bias"])
     return seq.with_tokens(out)

@@ -172,6 +172,26 @@ def dataset_config(tmp_path, dataset):
         "source = synthetic", f"source = file\npath = {path}"))
 
 
+class TestNonFiniteLoss:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_huge_pixel_stops_finetune_with_exit_two(self, tmp_path, workspace, capsys):
+        from dvpt.data import synth_generate
+        ds = synth_generate("classification", 16, seed=5)
+        ds.images[3, 5, 7, 0] = 3e38  # finite, so the loader accepts it
+        cfg = dataset_config(tmp_path, ds)
+        out = tmp_path / "task.ckpt"
+        code = cli.main(["finetune", "--config", cfg, "--backbone", str(workspace["backbone"]),
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and not out.exists()
+        assert "epoch,loss" not in captured.out
+        err = captured.err
+        # gate 0 hides the huge adapter output from the loss, not from the
+        # gate's gradient, whose square overflows float32
+        assert err.count("\n") == 1 and err.startswith("config error: gradient of 'adapter")
+        assert "at epoch 0, batch" in err
+
+
 class TestDatasetFitsModel:
     """A well-formed dataset file that does not fit [model] is a config error."""
 
@@ -288,6 +308,40 @@ class TestCliWorkflow:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["finetune --out", "finetune --history",
+                                      "pretrain --out", "synth-data --out"])
+    def test_unwritable_output_fails_before_any_work(self, workspace, flag, capsys):
+        tmp = workspace["tmp"]
+        bad = str(tmp / "no_such_dir" / "file")
+        unused = tmp / "unused.ckpt"
+        finetune = ["finetune", "--config", workspace["ft_cfg"],
+                    "--backbone", str(workspace["backbone"])]
+        argv = {
+            "finetune --out": finetune + ["--out", bad],
+            "finetune --history": finetune + ["--history", bad, "--out", str(unused)],
+            "pretrain --out": ["pretrain", "--config", workspace["pre_cfg"], "--out", bad],
+            "synth-data --out": ["synth-data", "--config", workspace["ft_cfg"], "--out", bad],
+        }[flag]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.out == ""  # no report, no CSV: nothing ran
+        assert captured.err.count("\n") == 1 and bad in captured.err
+        assert ".tmp." not in captured.err and not unused.exists()
+
+    def test_output_path_that_is_a_directory_exits_two(self, workspace, capsys):
+        tmp = workspace["tmp"]
+        code = cli.main(["synth-data", "--config", workspace["ft_cfg"], "--out", str(tmp)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and captured.out == ""
+        assert "is a directory" in captured.err and str(tmp) in captured.err
+
+    def test_relative_output_path_in_working_directory(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, count=4)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["synth-data", "--config", cfg, "--out", "ds.dvds"]) == 0
+        assert (tmp_path / "ds.dvds").exists()
 
     def test_finetune_prints_param_report(self, workspace, capsys):
         tmp = workspace["tmp"]

@@ -181,22 +181,34 @@ _PRIMITIVE_CASES = [
     ("softmax", lambda x: T.softmax(x, axis=-1), 1, (4, 9)),
     ("logsumexp", lambda x: T.logsumexp(x, axis=-1, keepdims=True), 1, (6, 4)),
     ("layernorm", "layernorm", 3, (8, 8, 16)),
+    # a list of shapes gives each input its own shape
+    ("linear", lambda x, w: T.linear(x, w), [(2, 3, 4), (4, 5)], None),
+    ("linear_bias", lambda x, w, b: T.linear(x, w, b), [(2, 3, 4), (4, 5), (5,)], None),
+    ("attention", lambda q, k, v: T.attention(q, k, v, 0.6),
+     [(2, 3, 4), (2, 5, 4), (2, 5, 6)], None),
+    ("attention_shared_kv", lambda q, kv: T.attention(q, kv, kv, 0.6),
+     [(2, 3, 4), (2, 5, 4)], None),
 ]
+
+
+def _case_op_and_shapes(op, arity, shape):
+    """The callable and input shapes of one ``_PRIMITIVE_CASES`` row."""
+    if isinstance(arity, list):
+        return op, arity
+    if arity == "broadcast":
+        return op, [shape, (shape[-1],)]
+    if arity == "matmul":
+        return op, [shape, (shape[-1], 3)]
+    if op == "layernorm":
+        return T.layernorm, [shape, (shape[-1],), (shape[-1],)]
+    return op, [shape] * arity
 
 
 @pytest.mark.parametrize("name,op,arity,shape",
                          _PRIMITIVE_CASES, ids=[c[0] for c in _PRIMITIVE_CASES])
 def test_primitive_gradient_vs_finite_differences(name, op, arity, shape):
     rng = np.random.default_rng(hash(name) % 2 ** 31)
-    if arity == "broadcast":
-        shapes = [shape, (shape[-1],)]
-    elif arity == "matmul":
-        shapes = [shape, (shape[-1], 3)]
-    elif op == "layernorm":
-        shapes = [shape, (shape[-1],), (shape[-1],)]
-        op = lambda x, g, b: T.layernorm(x, g, b)
-    else:
-        shapes = [shape] * arity
+    op, shapes = _case_op_and_shapes(op, arity, shape)
     inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     proj = Tensor(rng.normal(size=op(*inputs).shape))
 
@@ -254,6 +266,10 @@ _MULTI_INPUT_CASES = [
     ("matmul", T.matmul, [(2, 3, 4), (4, 5)]),
     ("concat", lambda *ts: T.concat(ts, axis=1), [(2, 3), (2, 1), (2, 4)]),
     ("layernorm", T.layernorm, [(2, 3, 6), (6,), (6,)]),
+    ("linear", T.linear, [(2, 3, 4), (4, 5), (5,)]),
+    ("linear_nobias", T.linear, [(2, 3, 4), (4, 5)]),
+    ("attention", lambda q, k, v: T.attention(q, k, v, 0.6), [(2, 3, 4), (2, 5, 4), (2, 5, 6)]),
+    ("attention_shared_kv", lambda q, kv: T.attention(q, kv, kv, 0.6), [(2, 3, 4), (2, 5, 4)]),
 ]
 _FROZEN_SLOT_CASES = [(name, op, shapes, slot)
                       for name, op, shapes in _MULTI_INPUT_CASES
@@ -275,13 +291,17 @@ def test_frozen_operand_gets_no_gradient(name, op, shapes, slot):
         backward(loss, tape)
         op_inputs, grads = tape.returned[-1]  # the op is recorded first, so replayed last
         assert all(a is b for a, b in zip(op_inputs, inputs))
-        return inputs, grads
+        return op_inputs, grads
 
     _, all_grads = run(frozen=None)
-    inputs, grads = run(frozen=slot)
-    assert grads[slot] is None and inputs[slot].grad is None
-    for i, (g, full) in enumerate(zip(grads, all_grads)):
-        if i != slot:
+    op_inputs, grads = run(frozen=slot)
+    frozen = op_inputs[slot]
+    assert frozen.grad is None
+    # an op may take one tensor in several slots (attention with k is v)
+    for i, (t, g, full) in enumerate(zip(op_inputs, grads, all_grads)):
+        if t is frozen:
+            assert g is None, i
+        else:
             assert g.dtype == full.dtype and g.tobytes() == full.tobytes(), i
 
 
@@ -353,3 +373,195 @@ def test_add_operand_to_itself_matches_finite_differences():
     backward(loss, tape)
     fd = finite_diff(lambda: forward().item(), x.data)
     assert rel_err(x.grad, fd).max() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# fused linear and attention, in-place kernels
+
+def _grads_through(build, values, dtype, proj_seed=40):
+    """Output and input gradients of ``build`` under a random projection."""
+    inputs = [Tensor(v.astype(dtype), requires_grad=True) for v in values]
+    with Tape() as tape:
+        out = build(*inputs)
+        proj = Tensor(np.random.default_rng(proj_seed).normal(size=out.shape).astype(dtype))
+        loss = T.tsum(T.mul(out, proj))
+    backward(loss, tape)
+    return [out.data] + [t.grad for t in inputs]
+
+
+def _assert_same_bits(fused, unfused):
+    assert len(fused) == len(unfused)
+    for i, (a, b) in enumerate(zip(fused, unfused)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), i
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(5, 6), (3, 5, 6)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_equals_matmul_plus_add_bitwise(dtype, x_shape, with_bias):
+    rng = np.random.default_rng(41)
+    values = [rng.normal(size=x_shape), rng.normal(size=(6, 7))]
+    unfused = T.matmul
+    if with_bias:
+        values.append(rng.normal(size=(7,)))
+        unfused = lambda x, w, b: T.add(T.matmul(x, w), b)
+    _assert_same_bits(_grads_through(T.linear, values, dtype),
+                      _grads_through(unfused, values, dtype))
+
+
+def _unfused_attention(q, k, v, factor):
+    axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    scores = T.scale(T.matmul(q, T.transpose(k, axes)), factor)
+    return T.matmul(T.softmax(scores, axis=-1), v)
+
+
+def _heads(t):
+    """The [b, h, s, dh] view mhsa takes of a [b, s, d] tensor."""
+    b, s, d = t.shape
+    return T.transpose(T.reshape(t, (b, s, 2, d // 2)), (0, 2, 1, 3))
+
+
+_ATTENTION_LAYOUTS = {
+    "2d": (lambda q, k, v: (q, k, v), [(3, 4), (5, 4), (5, 6)]),
+    "3d": (lambda q, k, v: (q, k, v), [(2, 3, 4), (2, 5, 4), (2, 5, 6)]),
+    "heads": (lambda q, k, v: (_heads(q), _heads(k), _heads(v)),
+              [(2, 5, 8), (2, 5, 8), (2, 5, 8)]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", sorted(_ATTENTION_LAYOUTS))
+@pytest.mark.parametrize("shared_kv", [False, True], ids=["kv", "k_is_v"])
+def test_attention_equals_unfused_chain_bitwise(dtype, layout, shared_kv):
+    view, shapes = _ATTENTION_LAYOUTS[layout]
+    rng = np.random.default_rng(42)
+    values = [rng.normal(size=s) for s in shapes]
+    factor = 1.0 / np.sqrt(shapes[0][-1])
+
+    def build(attend):
+        if shared_kv:
+            return lambda q, kv: attend(*view(q, kv, kv), factor)
+        return lambda q, k, v: attend(*view(q, k, v), factor)
+
+    if shared_kv:
+        values = values[:2]
+    fused = _grads_through(build(T.attention), values, dtype)
+    unfused = _grads_through(build(_unfused_attention), values, dtype)
+    _assert_same_bits(fused, unfused)
+
+
+def test_linear_rejects_a_bias_it_cannot_add_in_place():
+    x, w = Tensor(np.ones((2, 3), np.float32)), Tensor(np.ones((3, 4), np.float32))
+    for bias in (np.ones((1, 4), np.float32), np.ones(5, np.float32), np.ones(4, np.float64)):
+        with pytest.raises(ShapeError, match="linear bias"):
+            T.linear(x, w, Tensor(bias))
+
+
+def test_layernorm_rejects_mixed_dtypes():
+    x = Tensor(np.ones((2, 4), np.float32))
+    with pytest.raises(ShapeError, match="dtype"):
+        T.layernorm(x, Tensor(np.ones(4, np.float64)), Tensor(np.zeros(4, np.float32)))
+
+
+class GuardedTape(Tape):
+    """Snapshots each node's inputs when it is recorded and its output
+    gradient before its backward runs, and records every node whose
+    backward (or a later forward) changed either."""
+
+    def __init__(self):
+        super().__init__()
+        self.mutated = []
+
+    def record(self, inputs, output, backward_fn):
+        before = [t.data.copy() for t in inputs]
+
+        def guarded(og):
+            og_before = og.copy()
+            grads = backward_fn(og)
+            if og.tobytes() != og_before.tobytes():
+                self.mutated.append("og")
+            for t, snap in zip(inputs, before):
+                if t.data.tobytes() != snap.tobytes():
+                    self.mutated.append("input")
+            return grads
+
+        super().record(inputs, output, guarded)
+
+
+@pytest.mark.parametrize("name,op,arity,shape",
+                         _PRIMITIVE_CASES, ids=[c[0] for c in _PRIMITIVE_CASES])
+def test_no_backward_mutates_its_output_gradient_or_inputs(name, op, arity, shape):
+    rng = np.random.default_rng(43)
+    op, shapes = _case_op_and_shapes(op, arity, shape)
+    inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    with GuardedTape() as tape:
+        out = op(*inputs)
+        loss = T.tsum(T.mul(out, Tensor(rng.normal(size=out.shape))))
+    backward(loss, tape)
+    assert tape.mutated == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_on_zero_dim_tensor(dtype):
+    x = Tensor(np.array(1.0, dtype=dtype), requires_grad=True)
+    with Tape() as tape:
+        y = T.gelu(x)
+    backward(y, tape)
+    assert y.shape == () and y.dtype == dtype and x.grad.shape == ()
+    # Phi(1) + phi(1), frozen from a high-precision evaluation
+    tol = 1e-12 if dtype == np.float64 else 1e-6
+    assert abs(y.item() - 0.8413447460685429) < tol
+    assert abs(float(x.grad) - 1.0833154705876864) < tol
+
+
+def test_desk_dvpt_step_tape_length(desk_cfg, desk_dvpt):
+    from dvpt import training
+    from dvpt.model import model_for_policy
+
+    model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=3)
+    rng = np.random.default_rng(12)
+    images = rng.normal(size=(4, 16, 16, 1)).astype(np.float32)
+    with Tape() as tape:
+        training.batch_loss(model, images, rng.integers(0, 5, size=4))
+    # per block: attention residual 15 (layernorm, 3 linear, 6 head views,
+    # attention, transpose, reshape, linear, add), FFN residual 5, adapter
+    # branch 9, branch add 1; prompts 3, head 3, cross-entropy 7.  The
+    # frozen patch embedding records nothing.
+    assert len(tape) == desk_cfg.depth * 30 + 3 + 3 + 7 == 133
+
+
+def _reference_kernels(x, gamma, beta, og, eps=1e-5):
+    """(output, input gradients) of gelu, layernorm and softmax, written
+    out of place in the operation order the in-place kernels keep."""
+    from scipy.special import erf
+    cdf = 0.5 * (1.0 + erf(x * float(1.0 / np.sqrt(2.0))))
+    pdf = float(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    gelu = (x * cdf, [og * (cdf + x * pdf)])
+
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv_std
+    dxhat = og * gamma
+    dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    layernorm = (xhat * gamma + beta, [dx, (og * xhat).sum(axis=(0, 1)), og.sum(axis=(0, 1))])
+
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    soft = e / e.sum(axis=-1, keepdims=True)
+    softmax = (soft, [soft * (og - (og * soft).sum(axis=-1, keepdims=True))])
+    return {"gelu": gelu, "layernorm": layernorm, "softmax": softmax}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", ["gelu", "layernorm", "softmax"])
+def test_in_place_kernels_keep_the_out_of_place_bits(dtype, kernel):
+    rng = np.random.default_rng(44)
+    x = rng.normal(scale=2.0, size=(3, 5, 16)).astype(dtype)
+    gamma, beta = (rng.normal(size=16).astype(dtype) for _ in range(2))
+    # the projection _grads_through draws, and so the op's output gradient
+    og = np.random.default_rng(40).normal(size=x.shape).astype(dtype)
+    out, grads = _reference_kernels(x, gamma, beta, og)[kernel]
+    ops = {"gelu": (T.gelu, [x]), "layernorm": (T.layernorm, [x, gamma, beta]),
+           "softmax": (lambda t: T.softmax(t, axis=-1), [x])}
+    op, values = ops[kernel]
+    _assert_same_bits(_grads_through(op, values, dtype), [out] + grads)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dvpt import DvptConfig
 from dvpt import tensor as T
 from dvpt import training
 from dvpt.model import Model, model_for_policy
@@ -332,6 +333,39 @@ class TestTrainLoop:
         history = train_loop(model, ds.images, ds.labels, policy, epochs=2,
                              lr=0.01, seed=1)
         assert len(history) == 2 and "dice" in history[-1]
+
+
+def _desk_batches_of_four(desk_cfg, desk_dvpt):
+    """A dvpt model, its policy, 8 images and labels, and train_loop's
+    sample order at seed 0 (two batches of four)."""
+    model, policy = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=3)
+    rng = np.random.default_rng(14)
+    images = rng.normal(size=(8, 16, 16, 1)).astype(np.float32)
+    return model, policy, images, rng.integers(0, 5, size=8), np.random.default_rng(0).permutation(8)
+
+
+def test_train_loop_stops_on_nan_loss_before_any_update(desk_cfg, desk_dvpt):
+    model, policy, images, labels, order = _desk_batches_of_four(desk_cfg, desk_dvpt)
+    images[order[2], 2, 2, 0] = np.nan
+    before = {name: t.data.copy() for name, t in model.params.items()}
+    with pytest.raises(ContractError, match=r"non-finite loss nan at epoch 0, batch 0"):
+        training.train_loop(model, images, labels, policy, epochs=1, batch_size=4,
+                            eval_metrics=False, seed=0)
+    assert all(np.array_equal(t.data, before[n]) for n, t in model.params.items())
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_train_loop_stops_on_gradient_too_large_to_square(desk_cfg, desk_dvpt):
+    # while the gate is 0 the huge adapter output stays out of the loss but
+    # not out of the gate's gradient, whose square overflows float32
+    gate_off = DvptConfig(num_prompts=desk_dvpt.num_prompts, hidden_dim=desk_dvpt.hidden_dim,
+                          gate_init=0.0)
+    model, policy, images, labels, order = _desk_batches_of_four(desk_cfg, gate_off)
+    images[order[2], 2, 2, 0] = 1e30
+    with pytest.raises(ContractError, match=r"gradient of 'adapter.*' at epoch 0, batch 0 is not"):
+        training.train_loop(model, images, labels, policy, epochs=1, batch_size=4,
+                            eval_metrics=False, seed=0)
+    assert all(np.isfinite(t.data).all() for t in model.params.values())
 
 
 class TestMetricsReport:
