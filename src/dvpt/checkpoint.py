@@ -61,32 +61,33 @@ def save_checkpoint(path, tensors):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint into an ordered name -> ndarray dict."""
-    reader = binfile.Reader(path, MAGIC, CorruptCheckpointError)
-    version, count = reader.unpack("II")
-    if version != VERSION:
-        raise reader.error(f"unsupported version {version}")
-    entries = []
-    for _ in range(count):
-        (name_len,) = reader.unpack("H")
-        name = reader.text(name_len, "tensor name")
-        if entries and name <= entries[-1][0]:
-            raise reader.error(f"tensor {name!r} out of order or duplicated")
-        (rank,) = reader.unpack("B")
-        *shape, tag = reader.unpack(f"{rank}IB")
-        if tag not in _TAG_DTYPES:
-            raise reader.error(f"unknown dtype tag {tag}")
-        entries.append((name, tuple(shape), _TAG_DTYPES[tag]))
-    start = reader.offset
-    tensors = {name: reader.array(dtype, shape, f"tensor {name!r}")
-               for name, shape, dtype in entries}
-    payload = reader.view[start:reader.offset]
-    (crc,) = reader.unpack("I", "CRC trailer")
-    if reader.remaining:
-        raise reader.error(f"{reader.remaining} trailing bytes")
-    if zlib.crc32(payload) != crc:
-        raise reader.error("payload CRC mismatch")
-    return tensors
+    """Read a checkpoint into an ordered name -> ndarray dict.
+
+    The arrays are writable views of one buffer holding the whole payload.
+    """
+    with binfile.Reader(path, MAGIC, CorruptCheckpointError) as reader:
+        version, count = reader.unpack("II")
+        if version != VERSION:
+            raise reader.error(f"unsupported version {version}")
+        entries = []
+        for _ in range(count):
+            (name_len,) = reader.unpack("H")
+            name = reader.text(name_len, "tensor name")
+            if entries and name <= entries[-1][0]:
+                raise reader.error(f"tensor {name!r} out of order or duplicated")
+            (rank,) = reader.unpack("B")
+            *shape, tag = reader.unpack(f"{rank}IB")
+            if tag not in _TAG_DTYPES:
+                raise reader.error(f"unknown dtype tag {tag}")
+            entries.append((name, tuple(shape), _TAG_DTYPES[tag]))
+        arrays, payload = reader.arrays(
+            [(dtype, shape, f"tensor {name!r}") for name, shape, dtype in entries])
+        (crc,) = reader.unpack("I", "CRC trailer")
+        if reader.remaining:
+            raise reader.error(f"{reader.remaining} trailing bytes")
+        if zlib.crc32(payload) != crc:
+            raise reader.error("payload CRC mismatch")
+    return {name: arr for (name, _, _), arr in zip(entries, arrays)}
 
 
 def load_backbone(model, tensors):

@@ -126,20 +126,25 @@ def save_dataset(path, dataset):
 
 
 def load_dataset(path):
-    reader = binfile.Reader(path, MAGIC, CorruptDatasetError)
-    version, count, h, w, c, tag, num_classes = reader.unpack("IIIIIBI")
-    if version != VERSION:
-        raise reader.error(f"unsupported version {version}")
-    if tag not in _TAG_TASKS:
-        raise reader.error(f"unknown task tag {tag}")
-    task = _TAG_TASKS[tag]
-    images = reader.array("<f4", (count, h, w, c), "images")
-    if not np.isfinite(images).all():
-        raise reader.error("images hold a non-finite pixel")
-    label_shape = (count,) if task == "classification" else (count, h, w)
-    labels = reader.array("<u2", label_shape, f"labels of declared count {count}")
-    if reader.remaining:
-        raise reader.error(f"{reader.remaining} bytes beyond declared count {count}")
-    if labels.size and labels.max() >= num_classes:
-        raise reader.error(f"label {labels.max()} outside [0, {num_classes})")
+    """Read a dataset file; images and labels are writable views of one
+    buffer holding the whole payload."""
+    with binfile.Reader(path, MAGIC, CorruptDatasetError) as reader:
+        version, count, h, w, c, tag, num_classes = reader.unpack("IIIIIBI")
+        if version != VERSION:
+            raise reader.error(f"unsupported version {version}")
+        if tag not in _TAG_TASKS:
+            raise reader.error(f"unknown task tag {tag}")
+        task = _TAG_TASKS[tag]
+        label_shape = (count,) if task == "classification" else (count, h, w)
+        (images, labels), _ = reader.arrays([
+            ("<f4", (count, h, w, c), "images"),
+            ("<u2", label_shape, f"labels of declared count {count}"),
+        ])
+        if reader.remaining:
+            raise reader.error(f"{reader.remaining} bytes beyond declared count {count}")
+        # min/max propagate NaN and find any inf with no image-sized mask
+        if images.size and not (np.isfinite(images.min()) and np.isfinite(images.max())):
+            raise reader.error("images hold a non-finite pixel")
+        if labels.size and labels.max() >= num_classes:
+            raise reader.error(f"label {labels.max()} outside [0, {num_classes})")
     return Dataset(images, labels, task, num_classes)

@@ -79,10 +79,14 @@ def param_shapes(cfg, dvpt_cfg=None, prompts_only=False):
 def _truncated_normal(rng, shape, std, dtype):
     """Normal(0, std) with draws beyond 2 std resampled."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    # Only the positions still out of range are redrawn, in index order:
+    # the same draws, in the same order, as resampling the whole mask.
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2.0 * std]
     return out.astype(dtype)
 
 

@@ -211,6 +211,8 @@ def predict(model, images, batch_size=32):
 
 def evaluate(model, images, labels, batch_size=32):
     """MetricsReport on a dataset; order-independent by construction."""
+    if len(images) == 0:
+        raise ContractError("empty dataset")
     logits = predict(model, images, batch_size)
     if model.task == "classification":
         preds = logits.argmax(axis=-1)

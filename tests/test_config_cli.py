@@ -221,6 +221,15 @@ class TestDatasetFitsModel:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "label 8" in err
 
+    def test_empty_dataset_exits_two(self, tmp_path, workspace, capsys):
+        from dvpt.data import Dataset
+        ds = Dataset(np.zeros((0, 16, 16, 1), np.float32), np.zeros(0, np.uint16),
+                     "classification", 5)
+        cfg = dataset_config(tmp_path, ds)
+        assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "config error: empty dataset\n" and not captured.out
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):

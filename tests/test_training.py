@@ -304,6 +304,11 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train_loop(model, np.zeros((0, 16, 16, 1)), np.zeros(0), policy, epochs=1)
 
+    def test_evaluate_on_empty_dataset_rejected(self, desk_cfg, desk_dvpt):
+        model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt")
+        with pytest.raises(ContractError, match="empty dataset"):
+            training.evaluate(model, np.zeros((0, 16, 16, 1)), np.zeros(0, np.uint16))
+
     def test_descent_sanity_small_lr(self, desk_cfg, desk_dvpt):
         from dvpt.training import batch_loss
         failures = 0
