@@ -1,8 +1,10 @@
 """Run configuration files: flat key = value lines grouped in sections.
 
-Unknown sections or keys are hard errors (silent hyperparameter typos are
-the main reproducibility hazard), and every structural constraint of the
-model configs is re-validated at load time.
+Each section other than ``[run]`` is one config dataclass, and its keys
+are that dataclass's fields, cast by their annotated types: a new key is
+one new field.  Unknown sections or keys are hard errors (silent
+hyperparameter typos are the main reproducibility hazard), and every
+section's ``validate`` runs at load time.
 
 Example::
 
@@ -41,43 +43,19 @@ Example::
 """
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from .data import DataConfig
+from .model import TASKS
 from .peft import DvptConfig, FreezePolicy
+from .training import OptimizerConfig
 from .vit import ConfigError, VitConfig
 
-_SCHEMA = {
-    "run": {"task": str, "policy": str},
-    "model": {
-        "image_h": int, "image_w": int, "channels": int, "patch_size": int,
-        "embed_dim": int, "depth": int, "heads": int, "num_classes": int,
-    },
-    "dvpt": {"num_prompts": int, "hidden_dim": int, "share_every": int,
-             "gate_init": float},
-    "optimizer": {"lr": float, "epochs": int, "batch_size": int, "seed": int},
-    "data": {"source": str, "path": str, "count": int, "seed": int,
-             "difficulty": float, "family": str},
-}
-
+# Section -> the dataclass whose fields are its keys.
+_SECTIONS = {"model": VitConfig, "dvpt": DvptConfig,
+             "optimizer": OptimizerConfig, "data": DataConfig}
+_RUN_KEYS = ("task", "policy")
 _REQUIRED_SECTIONS = ("run", "model", "optimizer", "data")
-
-
-@dataclass
-class OptimizerConfig:
-    lr: float = 0.01
-    epochs: int = 10
-    batch_size: int = 8
-    seed: int = 0
-
-
-@dataclass
-class DataConfig:
-    source: str = "synthetic"
-    path: str = None
-    count: int = 64
-    seed: int = 0
-    difficulty: float = 0.3
-    family: str = "a"
 
 
 @dataclass
@@ -90,18 +68,24 @@ class RunConfig:
     data: DataConfig
 
 
-def _parse_section(parser, section, defaults=None):
-    schema = _SCHEMA[section]
-    values = dict(defaults or {})
+def _parse_section(parser, section, casters):
+    """The section's key -> value dict, each value cast by ``casters[key]``."""
+    values = {}
     for key, raw in parser.items(section):
-        if key not in schema:
+        if key not in casters:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        caster = schema[key]
         try:
-            values[key] = caster(raw)
+            values[key] = casters[key](raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
     return values
+
+
+def _load_section(parser, section, *validate_args):
+    """The section's dataclass, built from its keys and validated."""
+    cls = _SECTIONS[section]
+    casters = {field.name: field.type for field in fields(cls)}
+    return cls(**_parse_section(parser, section, casters)).validate(*validate_args)
 
 
 def load_config(path):
@@ -110,38 +94,24 @@ def load_config(path):
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section != "run" and section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
     for section in _REQUIRED_SECTIONS:
         if not parser.has_section(section):
             raise ConfigError(f"missing section [{section}]")
 
-    run = _parse_section(parser, "run")
-    for key in ("task", "policy"):
+    run = _parse_section(parser, "run", dict.fromkeys(_RUN_KEYS, str))
+    for key in _RUN_KEYS:
         if key not in run:
             raise ConfigError(f"[run] missing key {key!r}")
-    if run["task"] not in ("classification", "segmentation"):
-        raise ConfigError(f"[run] task must be classification or segmentation, got {run['task']!r}")
-    policy = FreezePolicy(run["policy"])
+    task, policy = run["task"], run["policy"]
+    if task not in TASKS:
+        raise ConfigError(f"[run] task must be {' or '.join(TASKS)}, got {task!r}")
+    freeze = FreezePolicy(policy)
 
-    model = VitConfig(**_parse_section(parser, "model")).validate()
-
-    dvpt = None
-    if parser.has_section("dvpt"):
-        dvpt = DvptConfig(**_parse_section(parser, "dvpt")).validate(model)
-    policy.model_args(dvpt)  # raises if the policy's model variant needs [dvpt]
-
-    optimizer = OptimizerConfig(**_parse_section(parser, "optimizer"))
-    if optimizer.lr < 0 or optimizer.epochs < 0 or optimizer.batch_size <= 0:
-        raise ConfigError("[optimizer] lr/epochs must be >= 0 and batch_size > 0")
-
-    data = DataConfig(**_parse_section(parser, "data"))
-    if data.source not in ("synthetic", "file"):
-        raise ConfigError(f"[data] source must be synthetic or file, got {data.source!r}")
-    if data.source == "file" and not data.path:
-        raise ConfigError("[data] source = file requires a path")
-    if data.source == "synthetic" and data.family not in ("a", "b"):
-        raise ConfigError(f"[data] family must be 'a' or 'b', got {data.family!r}")
-
-    return RunConfig(task=run["task"], policy=run["policy"], model=model,
-                     dvpt=dvpt, optimizer=optimizer, data=data)
+    model = _load_section(parser, "model")
+    dvpt = _load_section(parser, "dvpt", model) if parser.has_section("dvpt") else None
+    freeze.model_args(dvpt)  # raises if the policy's model variant needs [dvpt]
+    return RunConfig(task=task, policy=policy, model=model, dvpt=dvpt,
+                     optimizer=_load_section(parser, "optimizer"),
+                     data=_load_section(parser, "data"))

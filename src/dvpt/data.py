@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binfile
+from .vit import ConfigError
 
 MAGIC = b"DVDS"
 VERSION = 1
@@ -44,6 +45,27 @@ class Dataset:
 
     def __len__(self):
         return len(self.images)
+
+
+@dataclass
+class DataConfig:
+    """The ``[data]`` section of a run config: generate, or read a file."""
+
+    source: str = "synthetic"
+    path: str = None
+    count: int = 64
+    seed: int = 0
+    difficulty: float = 0.3
+    family: str = "a"
+
+    def validate(self):
+        if self.source not in ("synthetic", "file"):
+            raise ConfigError(f"[data] source must be synthetic or file, got {self.source!r}")
+        if self.source == "file" and not self.path:
+            raise ConfigError("[data] source = file requires a path")
+        if self.source == "synthetic" and self.family not in ("a", "b"):
+            raise ConfigError(f"[data] family must be 'a' or 'b', got {self.family!r}")
+        return self
 
 
 def _grid(h, w):

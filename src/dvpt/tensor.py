@@ -63,33 +63,9 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{tag})"
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other, self.dtype), -1.0))
-
-
-def _as_tensor(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 class _Node:

@@ -8,10 +8,14 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tape, Tensor, backward
+from .vit import ConfigError
 
 
 class ContractError(ValueError):
     """Raised when a caller violates an operation's preconditions."""
+
+
+_HUGE_INPUT = ": the input data may hold huge or non-finite values"
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +68,21 @@ def hybrid_dice_ce(logits, masks, smooth=1.0):
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+@dataclass
+class OptimizerConfig:
+    """The ``[optimizer]`` section of a run config: ``train_loop``'s knobs."""
+
+    lr: float = 0.01
+    epochs: int = 10
+    batch_size: int = 8
+    seed: int = 0
+
+    def validate(self):
+        if self.lr < 0 or self.epochs < 0 or self.batch_size <= 0:
+            raise ConfigError("[optimizer] lr/epochs must be >= 0 and batch_size > 0")
+        return self
+
 
 @dataclass
 class AdamState:
@@ -156,6 +175,15 @@ def dice_iou(pred_mask, true_mask):
     return float(dice), float(iou)
 
 
+# Each task's metrics in CSV column order, as (CSV column, MetricsReport
+# field) pairs; a pair written ``(name,) * 2`` is a column named after its
+# field.
+TASK_METRICS = {
+    "classification": (("acc", "accuracy"), ("kappa",) * 2),
+    "segmentation": (("dice",) * 2, ("iou",) * 2),
+}
+
+
 @dataclass
 class MetricsReport:
     task: str
@@ -165,20 +193,19 @@ class MetricsReport:
     iou: float = None
     confusion: np.ndarray = None
 
+    def _columns(self):
+        """CSV column -> value, in column order."""
+        return {column: getattr(self, name) for column, name in TASK_METRICS[self.task]}
+
     def csv_header(self):
-        if self.task == "classification":
-            return "acc,kappa"
-        return "dice,iou"
+        return ",".join(self._columns())
 
     def csv_row(self):
-        if self.task == "classification":
-            return f"{self.accuracy:.6f},{self.kappa:.6f}"
-        return f"{self.dice:.6f},{self.iou:.6f}"
+        return ",".join(f"{value:.6f}" for value in self._columns().values())
 
     def key_values(self):
-        if self.task == "classification":
-            return f"accuracy={self.accuracy:.6f}\nkappa={self.kappa:.6f}"
-        return f"dice={self.dice:.6f}\niou={self.iou:.6f}"
+        return "\n".join(f"{name}={getattr(self, name):.6f}"
+                         for _, name in TASK_METRICS[self.task])
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +241,18 @@ def evaluate(model, images, labels, batch_size=32):
     if len(images) == 0:
         raise ContractError("empty dataset")
     logits = predict(model, images, batch_size)
-    if model.task == "classification":
-        preds = logits.argmax(axis=-1)
-        confusion = confusion_matrix(labels, preds, model.cfg.num_classes)
-        return MetricsReport(
-            task="classification",
-            accuracy=accuracy(confusion),
-            kappa=quadratic_weighted_kappa(confusion),
-            confusion=confusion,
-        )
-    grid = reduce_mask_to_grid(labels, model.cfg.patch_size)
+    finite = np.isfinite(logits.reshape(len(logits), -1)).all(axis=1)
+    if not finite.all():
+        raise ContractError(
+            f"non-finite logits for sample {np.argmin(finite)}{_HUGE_INPUT}")
     preds = logits.argmax(axis=-1)
+    if model.task == "classification":
+        confusion = confusion_matrix(labels, preds, model.cfg.num_classes)
+        return MetricsReport(model.task, accuracy=accuracy(confusion),
+                             kappa=quadratic_weighted_kappa(confusion), confusion=confusion)
+    grid = reduce_mask_to_grid(labels, model.cfg.patch_size)
     dice, iou = dice_iou(preds > 0, grid > 0)
-    return MetricsReport(task="segmentation", dice=dice, iou=iou)
+    return MetricsReport(model.task, dice=dice, iou=iou)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +267,8 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, step=1e-5, seed=0):
     """
     if model.dtype != np.float64:
         raise ContractError("grad_check requires a float64 model")
+    if len(images) == 0:
+        raise ContractError("empty dataset")
     model.zero_grad()
     with Tape() as tape:
         loss = batch_loss(model, images, labels)
@@ -277,8 +305,6 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, step=1e-5, seed=0):
 
 # ---------------------------------------------------------------------------
 # training loop
-
-_HUGE_INPUT = ": the input data may hold huge or non-finite values"
 
 
 def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
@@ -326,11 +352,7 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
             losses.append(loss.item())
         entry = {"epoch": epoch, "loss": float(np.mean(losses))}
         if eval_metrics:
-            report = evaluate(model, images, labels)
-            if model.task == "classification":
-                entry.update(acc=report.accuracy, kappa=report.kappa)
-            else:
-                entry.update(dice=report.dice, iou=report.iou)
+            entry.update(evaluate(model, images, labels)._columns())
         history.append(entry)
     for name, snap in frozen_snapshot.items():
         current = model.params[name].data
@@ -341,12 +363,9 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
 
 def history_csv(history, task):
     """Render a training history as the CSV the CLI emits."""
-    if task == "classification":
-        header = "epoch,loss,acc,kappa"
-        rows = [f"{h['epoch']},{h['loss']:.6f},{h.get('acc', float('nan')):.6f},"
-                f"{h.get('kappa', float('nan')):.6f}" for h in history]
-    else:
-        header = "epoch,loss,dice,iou"
-        rows = [f"{h['epoch']},{h['loss']:.6f},{h.get('dice', float('nan')):.6f},"
-                f"{h.get('iou', float('nan')):.6f}" for h in history]
-    return "\n".join([header] + rows) + "\n"
+    columns = [column for column, _ in TASK_METRICS[task]]
+    lines = [",".join(["epoch", "loss"] + columns)]
+    for h in history:
+        metrics = [f"{h.get(column, float('nan')):.6f}" for column in columns]
+        lines.append(",".join([str(h["epoch"]), f"{h['loss']:.6f}"] + metrics))
+    return "\n".join(lines) + "\n"

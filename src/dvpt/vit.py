@@ -6,7 +6,7 @@ Parameters live in a flat name -> Tensor dict owned by the model (see
 ``model.py``); the functions here take that dict plus a per-block prefix.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,12 +30,10 @@ class VitConfig:
     num_classes: int = 5
 
     def validate(self):
-        for field in (
-            "image_h", "image_w", "channels", "patch_size",
-            "embed_dim", "depth", "heads", "num_classes",
-        ):
-            if getattr(self, field) <= 0:
-                raise ConfigError(f"{field} must be positive, got {getattr(self, field)}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value <= 0:
+                raise ConfigError(f"{field.name} must be positive, got {value}")
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
             raise ConfigError(
                 f"image {self.image_h}x{self.image_w} not divisible by patch_size {self.patch_size}"
@@ -155,19 +153,12 @@ def block_forward(seq, params, prefix, cfg):
 def classification_head(seq, params):
     """Pool the representation and project to class logits.
 
-    With prompts present the pooled vector is the mean of the m prompt
-    tokens and the class token; without prompts it is the class token.
+    The pooled vector is the mean of the m prompt tokens and the class
+    token, which is the class token itself when there are no prompts.
     """
-    m = seq.num_prompts
     if not seq.has_cls:
         raise ConfigError("classification head requires a class token")
-    if m > 0:
-        pooled = T.tmean(T.slice_axis(seq.tokens, 1, 0, m + 1), axis=1)
-    else:
-        pooled = T.reshape(
-            T.slice_axis(seq.tokens, 1, 0, 1),
-            (seq.tokens.shape[0], seq.tokens.shape[2]),
-        )
+    pooled = T.tmean(T.slice_axis(seq.tokens, 1, 0, seq.num_prompts + 1), axis=1)
     return T.linear(pooled, params["head.weight"], params["head.bias"])
 
 

@@ -191,6 +191,19 @@ class TestNonFiniteLoss:
         assert err.count("\n") == 1 and err.startswith("config error: gradient of 'adapter")
         assert "at epoch 0, batch" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_pixel_stops_eval_with_exit_two(self, tmp_path, workspace, capsys):
+        from dvpt.data import synth_generate
+        ds = synth_generate("classification", 16, seed=5)
+        ds.images[3, 5, 7, 0] = 3e38
+        cfg = dataset_config(tmp_path, ds)
+        code = cli.main(["eval", "--config", cfg, "--backbone", str(workspace["backbone"]),
+                         "--task-ckpt", str(workspace["task"])])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and not captured.out
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: non-finite logits for sample 3: ")
+
 
 class TestDatasetFitsModel:
     """A well-formed dataset file that does not fit [model] is a config error."""
@@ -230,6 +243,15 @@ class TestDatasetFitsModel:
         captured = capsys.readouterr()
         assert captured.err == "config error: empty dataset\n" and not captured.out
 
+    def test_grad_check_on_empty_dataset_exits_two(self, tmp_path, capsys):
+        from dvpt.data import Dataset
+        ds = Dataset(np.zeros((0, 16, 16, 1), np.float32), np.zeros(0, np.uint16),
+                     "classification", 5)
+        code = cli.main(["grad-check", "--config", dataset_config(tmp_path, ds)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.err == "config error: empty dataset\n" and not captured.out
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -248,6 +270,28 @@ def workspace(tmp_path_factory):
                      "--history", str(history), "--out", str(task)]) == 0
     return {"tmp": tmp, "pre_cfg": pre_cfg, "ft_cfg": ft_cfg,
             "backbone": backbone, "task": task, "history": history}
+
+
+@pytest.fixture(scope="module")
+def seg_workspace(tmp_path_factory):
+    """pretrain -> finetune chain for the segmentation task."""
+    tmp = tmp_path_factory.mktemp("cliseg")
+
+    def segmentation(text):
+        return (text.replace("task = classification", "task = segmentation")
+                    .replace("num_classes = 5", "num_classes = 2"))
+
+    pre_cfg = write_config(tmp, "pre.ini", policy="full_finetune", epochs=2, count=16,
+                           data_seed=1, mutate=segmentation)
+    ft_cfg = write_config(tmp, "ft.ini", policy="dvpt", epochs=2, count=12,
+                          data_seed=2, family="b", mutate=segmentation)
+    backbone = tmp / "backbone.ckpt"
+    task = tmp / "task.ckpt"
+    assert cli.main(["pretrain", "--config", pre_cfg, "--out", str(backbone)]) == 0
+    assert cli.main(["finetune", "--config", ft_cfg, "--backbone", str(backbone),
+                     "--out", str(task)]) == 0
+    return {"tmp": tmp, "pre_cfg": pre_cfg, "ft_cfg": ft_cfg,
+            "backbone": backbone, "task": task}
 
 
 class TestCliWorkflow:
@@ -283,6 +327,17 @@ class TestCliWorkflow:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "acc,kappa"
         assert "accuracy=" in out and "kappa=" in out
+
+    @pytest.mark.parametrize("name, stdout", [
+        ("workspace", "acc,kappa\n0.562500,0.719807\naccuracy=0.562500\nkappa=0.719807\n"),
+        ("seg_workspace", "dice,iou\n0.363636,0.222222\ndice=0.363636\niou=0.222222\n"),
+    ], ids=["classification", "segmentation"])
+    def test_eval_stdout_pinned(self, request, name, stdout, capsys):
+        ws = request.getfixturevalue(name)
+        capsys.readouterr()  # drop what building the workspace printed
+        assert cli.main(["eval", "--config", ws["ft_cfg"], "--backbone", str(ws["backbone"]),
+                         "--task-ckpt", str(ws["task"])]) == 0
+        assert capsys.readouterr().out == stdout
 
     def test_eval_deterministic_output(self, workspace, capsys):
         args = ["eval", "--config", workspace["ft_cfg"],

@@ -273,6 +273,11 @@ class TestGradCheck:
         with pytest.raises(ContractError):
             grad_check(model, np.zeros((1, 16, 16, 1)), np.array([0]))
 
+    def test_empty_dataset_rejected(self, desk_cfg, desk_dvpt):
+        model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", dtype=np.float64)
+        with pytest.raises(ContractError, match="empty dataset"):
+            grad_check(model, np.zeros((0, 16, 16, 1)), np.zeros(0, np.uint16))
+
 
 class TestTrainLoop:
     def _data(self, n=12, seed=0):
@@ -308,6 +313,14 @@ class TestTrainLoop:
         model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt")
         with pytest.raises(ContractError, match="empty dataset"):
             training.evaluate(model, np.zeros((0, 16, 16, 1)), np.zeros(0, np.uint16))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_evaluate_names_first_sample_with_non_finite_logits(self, desk_cfg, desk_dvpt):
+        model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt")
+        images, labels = self._data(n=6)
+        images[4, 5, 7, 0] = 3e38  # finite, but it overflows float32 in the forward
+        with pytest.raises(ContractError, match=r"^non-finite logits for sample 4: "):
+            training.evaluate(model, images, labels, batch_size=4)
 
     def test_descent_sanity_small_lr(self, desk_cfg, desk_dvpt):
         from dvpt.training import batch_loss
@@ -380,3 +393,18 @@ class TestMetricsReport:
         assert r.csv_row() == "0.500000,0.250000"
         r = MetricsReport(task="segmentation", dice=1.0, iou=1.0)
         assert r.csv_header() == "dice,iou"
+        r = MetricsReport(task="segmentation", dice=0.75, iou=0.6)
+        assert r.csv_row() == "0.750000,0.600000"
+        assert r.key_values() == "dice=0.750000\niou=0.600000"
+
+
+@pytest.mark.parametrize("task, metrics, text", [
+    ("classification", {"acc": 0.25, "kappa": 0.125},
+     "epoch,loss,acc,kappa\n0,1.500000,0.250000,0.125000\n1,0.750000,nan,nan\n"),
+    ("segmentation", {"dice": 0.5, "iou": 1.0 / 3.0},
+     "epoch,loss,dice,iou\n0,1.500000,0.500000,0.333333\n1,0.750000,nan,nan\n"),
+], ids=["classification", "segmentation"])
+def test_history_csv_text(task, metrics, text):
+    # the second epoch carries no metrics, as with eval_metrics=False
+    history = [{"epoch": 0, "loss": 1.5, **metrics}, {"epoch": 1, "loss": 0.75}]
+    assert training.history_csv(history, task) == text
