@@ -64,8 +64,9 @@ print(f"gates at zero -> branch output bitwise equals the branch-free "
       f"forward: {np.array_equal(plain, gated)}")
 
 # --- adapter sharing -----------------------------------------------------
-print(f"share_every = {adapter.share_every}: layer -> adapter map "
-      f"{model.sharing}")
+# Model.forward hands layer l the tensors of adapter block l // share_every.
+sharing = {layer: layer // adapter.share_every for layer in range(cfg.depth)}
+print(f"share_every = {adapter.share_every}: layer -> adapter map {sharing}")
 n_blocks = adapter.num_blocks(cfg.depth)
 print(f"{cfg.depth} layers reuse {n_blocks} adapter blocks; "
       f"tied layers update one set of tensors whose gradients accumulate")

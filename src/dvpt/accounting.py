@@ -1,7 +1,7 @@
 """Trainable-parameter accounting.
 
-Exact enumeration of the trainable tensors under a freeze policy is the
-ground truth.  The closed form
+Enumerating the ``model.param_shapes`` table that a model is built from
+is the ground truth.  The closed form
 
     m * d' + ceil(L / s) * (2 * d * d' + d + d')
 
@@ -66,7 +66,11 @@ class ParamReport:
         return self.trainable - self.closed_form_value
 
 
-def _report_from_shapes(shapes, policy, cfg, dvpt_cfg):
+def report_from_config(cfg, dvpt_cfg, mode):
+    """Report on the shape table of the model variant that freeze policy
+    ``mode`` implies, rows sorted by name; no tensor is allocated."""
+    policy = FreezePolicy(mode)
+    shapes = model_mod.param_shapes(cfg, *policy.model_args(dvpt_cfg))
     report = ParamReport()
     for name in sorted(shapes):
         shape = tuple(shapes[name])
@@ -77,7 +81,7 @@ def _report_from_shapes(shapes, policy, cfg, dvpt_cfg):
             report.trainable += count
         else:
             report.frozen += count
-    if policy.variant == ADAPTERS and dvpt_cfg is not None:
+    if policy.variant == ADAPTERS:
         m, dp, d = dvpt_cfg.num_prompts, dvpt_cfg.hidden_dim, cfg.embed_dim
         report.closed_form_value = closed_form(m, dp, d, cfg.depth, dvpt_cfg.share_every)
         # enumeration - closed form, term by term
@@ -91,24 +95,6 @@ def _report_from_shapes(shapes, policy, cfg, dvpt_cfg):
                 f"enumerated trainable count {report.trainable} != closed form "
                 f"{report.closed_form_value} + {report.discrepancy_terms}")
     return report
-
-
-def enumerate_trainable(model, policy):
-    """Count every scalar of every tensor in the model under the policy.
-
-    Row order is deterministic (sorted by name); the trainable rows are
-    exactly the tensors an optimizer built from the policy would update.
-    """
-    shapes = {name: t.shape for name, t in model.params.items()}
-    return _report_from_shapes(shapes, policy, model.cfg, model.dvpt_cfg)
-
-
-def report_from_config(cfg, dvpt_cfg, mode):
-    """Same report computed from the shape table alone, so large
-    configurations can be counted without allocating tensors."""
-    policy = FreezePolicy(mode)
-    shapes = model_mod.param_shapes(cfg, *policy.model_args(dvpt_cfg))
-    return _report_from_shapes(shapes, policy, cfg, dvpt_cfg)
 
 
 def format_report(report, reference_total=None):

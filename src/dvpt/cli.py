@@ -111,7 +111,7 @@ def cmd_finetune(cfg, args):
     model, policy = model_for_policy(cfg.model, cfg.dvpt, cfg.policy,
                                      task=cfg.task, seed=seed)
     checkpoint.load_backbone(model, checkpoint.load_checkpoint(args.backbone))
-    report = accounting.enumerate_trainable(model, policy)
+    report = accounting.report_from_config(cfg.model, cfg.dvpt, cfg.policy)
     print(accounting.format_report(report, reference_total=_reference_total(cfg)))
     history = training.train_loop(
         model, ds.images, ds.labels, policy,

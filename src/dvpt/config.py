@@ -90,7 +90,11 @@ def _load_section(parser, section, *validate_args):
 
 def load_config(path):
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = "; ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse config file {path!r}: {detail}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     for section in parser.sections():

@@ -19,7 +19,7 @@ accumulate across the layers that share them.
 import numpy as np
 
 from . import peft, vit
-from .peft import FreezePolicy, build_sharing_map
+from .peft import FreezePolicy
 from .tensor import Tensor
 from .vit import ConfigError
 
@@ -90,10 +90,10 @@ def _truncated_normal(rng, shape, std, dtype):
     return out.astype(dtype)
 
 
-def init_params(shapes, gate_init=0.0, seed=0, dtype=np.float32, std=0.02):
-    """Seeded initialization: truncated normal for weights, zeros for
-    biases, LN gamma 1 / beta 0, gates at gate_init.  Deterministic in
-    (seed, name order)."""
+def init_params(shapes, gate_init=0.0, seed=0, dtype=np.float32):
+    """Seeded initialization: truncated normal (std 0.02) for weights,
+    zeros for biases, LN gamma 1 / beta 0, gates at gate_init.
+    Deterministic in (seed, name order)."""
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in shapes.items():
@@ -104,7 +104,7 @@ def init_params(shapes, gate_init=0.0, seed=0, dtype=np.float32, std=0.02):
         elif name.endswith(".gate"):
             data = np.asarray(gate_init, dtype=dtype)
         else:
-            data = _truncated_normal(rng, shape, std, dtype)
+            data = _truncated_normal(rng, shape, 0.02, dtype)
         params[name] = Tensor(data, requires_grad=True, name=name)
     return params
 
@@ -124,17 +124,10 @@ class Model:
         self.dvpt_cfg = dvpt_cfg
         self.task = task
         self.dtype = np.dtype(dtype)
-        self.sharing = (
-            build_sharing_map(cfg.depth, dvpt_cfg.share_every)
-            if dvpt_cfg is not None and not prompts_only else None
-        )
+        self.has_adapter = dvpt_cfg is not None and not prompts_only
         shapes = param_shapes(cfg, dvpt_cfg, prompts_only)
         gate_init = dvpt_cfg.gate_init if dvpt_cfg is not None else 0.0
         self.params = init_params(shapes, gate_init=gate_init, seed=seed, dtype=dtype)
-
-    @property
-    def has_adapter(self):
-        return self.sharing is not None
 
     def forward(self, images, use_adapter=True):
         """Images [batch, H, W, C] -> logits ([batch, K] or patch-grid).
@@ -149,7 +142,7 @@ class Model:
             if self.has_adapter and use_adapter:
                 seq = peft.dvpt_block_forward(
                     seq, self.params, f"block{layer}",
-                    f"adapter{self.sharing[layer]}", self.cfg,
+                    f"adapter{layer // self.dvpt_cfg.share_every}", self.cfg,
                 )
             else:
                 seq = vit.block_forward(seq, self.params, f"block{layer}", self.cfg)

@@ -57,17 +57,6 @@ class DvptConfig:
         return -(-depth // self.share_every)  # ceil
 
 
-def build_sharing_map(depth, share_every):
-    """Layer index (0-based) -> adapter block index.
-
-    Consecutive layers share one block; ceil(depth/share_every) blocks in
-    total, the last block serving any remainder layers.
-    """
-    if not 1 <= share_every <= depth:
-        raise ConfigError(f"share_every {share_every} outside [1, depth={depth}]")
-    return {layer: layer // share_every for layer in range(depth)}
-
-
 def append_prompts(seq, prompts):
     """Concatenate the trainable prompt rows ahead of the class and patch
     tokens: [P, Z_cls, Z].  Applied exactly once, at the input layer."""

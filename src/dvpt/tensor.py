@@ -210,22 +210,6 @@ def add_const(a, value):
     return _emit(a.data + value, (a,), bwd)
 
 
-def exp(a):
-    out_data = np.exp(a.data)
-
-    def bwd(og):
-        return (og * out_data,)
-
-    return _emit(out_data, (a,), bwd)
-
-
-def log(a):
-    def bwd(og):
-        return (og / a.data,)
-
-    return _emit(np.log(a.data), (a,), bwd)
-
-
 def gelu(a):
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     x = a.data
@@ -283,32 +267,26 @@ def matmul(a, b):
     return _emit(np.matmul(a.data, b.data), (a, b), bwd)
 
 
-def linear(x, weight, bias=None):
-    """x @ weight (+ bias) as one node.
+def linear(x, weight, bias):
+    """x @ weight + bias as one node.
 
     The bias is added in place into the product, so it must match the
     product's dtype and last axis exactly; nothing keeps the pre-bias
-    product.
+    product.  ``matmul`` is the bias-free product.
     """
     _check_matmul(x, weight)
     out = np.matmul(x.data, weight.data)
-    if bias is None:
-        inputs = (x, weight)
-    else:
-        if bias.shape != out.shape[-1:] or bias.dtype != out.dtype:
-            raise ShapeError(
-                f"linear bias must be 1-D {out.shape[-1:]} {out.dtype}, "
-                f"got {bias.shape} {bias.dtype}")
-        out += bias.data
-        inputs = (x, weight, bias)
+    if bias.shape != out.shape[-1:] or bias.dtype != out.dtype:
+        raise ShapeError(
+            f"linear bias must be 1-D {out.shape[-1:]} {out.dtype}, "
+            f"got {bias.shape} {bias.dtype}")
+    out += bias.data
 
     def bwd(og):
         grads = _matmul_grads(og, x.data, weight.data, x.requires_grad, weight.requires_grad)
-        if bias is None:
-            return grads
         return grads + (_reduce_to_shape(og, bias.shape) if bias.requires_grad else None,)
 
-    return _emit(out, inputs, bwd)
+    return _emit(out, (x, weight, bias), bwd)
 
 
 def attention(q, k, v, factor):

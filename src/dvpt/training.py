@@ -16,6 +16,9 @@ class ContractError(ValueError):
 
 
 _HUGE_INPUT = ": the input data may hold huge or non-finite values"
+# numpy's errstate for the forward and backward of huge inputs: the finiteness
+# checks after those calls report an overflow as one typed error.
+_OVERFLOW_CHECKED = dict(over="ignore", invalid="ignore")
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +45,8 @@ def cross_entropy(logits, labels):
     return T.scale(T.tmean(picked), -1.0)
 
 
-def hybrid_dice_ce(logits, masks, smooth=1.0):
-    """Soft-Dice loss plus pixel cross-entropy, summed unweighted.
+def hybrid_dice_ce(logits, masks):
+    """Soft-Dice loss (smoothing 1) plus pixel cross-entropy, summed unweighted.
 
     ``logits``: [batch, ..., K] per-pixel class logits; ``masks``: integer
     labels of the matching spatial shape.
@@ -59,8 +62,8 @@ def hybrid_dice_ce(logits, masks, smooth=1.0):
     inter = T.tsum(T.mul(probs, onehot), axis=0)
     denom = T.add(T.tsum(probs, axis=0), T.tsum(onehot, axis=0))
     dice_per_class = T.div(
-        T.add_const(T.scale(inter, 2.0), smooth),
-        T.add_const(denom, smooth),
+        T.add_const(T.scale(inter, 2.0), 1.0),
+        T.add_const(denom, 1.0),
     )
     dice_loss = T.add_const(T.scale(T.tmean(dice_per_class), -1.0), 1.0)
     return T.add(dice_loss, ce)
@@ -191,7 +194,6 @@ class MetricsReport:
     kappa: float = None
     dice: float = None
     iou: float = None
-    confusion: np.ndarray = None
 
     def _columns(self):
         """CSV column -> value, in column order."""
@@ -240,7 +242,8 @@ def evaluate(model, images, labels, batch_size=32):
     """MetricsReport on a dataset; order-independent by construction."""
     if len(images) == 0:
         raise ContractError("empty dataset")
-    logits = predict(model, images, batch_size)
+    with np.errstate(**_OVERFLOW_CHECKED):
+        logits = predict(model, images, batch_size)
     finite = np.isfinite(logits.reshape(len(logits), -1)).all(axis=1)
     if not finite.all():
         raise ContractError(
@@ -249,7 +252,7 @@ def evaluate(model, images, labels, batch_size=32):
     if model.task == "classification":
         confusion = confusion_matrix(labels, preds, model.cfg.num_classes)
         return MetricsReport(model.task, accuracy=accuracy(confusion),
-                             kappa=quadratic_weighted_kappa(confusion), confusion=confusion)
+                             kappa=quadratic_weighted_kappa(confusion))
     grid = reduce_mask_to_grid(labels, model.cfg.patch_size)
     dice, iou = dice_iou(preds > 0, grid > 0)
     return MetricsReport(model.task, dice=dice, iou=iou)
@@ -332,14 +335,15 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             model.zero_grad()
-            with Tape() as tape:
+            with np.errstate(**_OVERFLOW_CHECKED), Tape() as tape:
                 loss = batch_loss(model, images[idx], labels[idx])
             where = f"at epoch {epoch}, batch {start // batch_size}"
             if not np.isfinite(loss.item()):
                 raise ContractError(f"non-finite loss {loss.item()} {where}{_HUGE_INPUT}")
-            backward(loss, tape)
             trainable = model.trainable()
-            adam_step(trainable, state)
+            with np.errstate(**_OVERFLOW_CHECKED):
+                backward(loss, tape)
+                adam_step(trainable, state)
             # The second moment (running mean of squared gradients) is the
             # first state to go non-finite, from a gradient that is NaN, inf
             # or too large to square; while it stays finite, each Adam

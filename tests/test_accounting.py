@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from dvpt import accounting
-from dvpt.accounting import (REFERENCE_TOTALS_VITB16, closed_form,
-                             enumerate_trainable, format_report,
+from dvpt.accounting import (REFERENCE_TOTALS_VITB16, closed_form, format_report,
                              report_from_config, report_key_values)
 from dvpt.model import model_for_policy
-from dvpt.peft import DvptConfig
+from dvpt.peft import POLICIES, DvptConfig
 from dvpt.vit import ConfigError
 
 
@@ -64,18 +63,18 @@ class TestEnumeration:
         assert report.trainable + report.frozen == report.total
 
     def test_matches_model_enumeration(self, desk_cfg, desk_dvpt):
-        model, policy = model_for_policy(desk_cfg, desk_dvpt, "dvpt")
-        from_model = enumerate_trainable(model, policy)
-        from_shapes = report_from_config(desk_cfg, desk_dvpt, "dvpt")
-        assert from_model.trainable == from_shapes.trainable
-        assert from_model.total == from_shapes.total
-        assert [r.name for r in from_model.rows] == [r.name for r in from_shapes.rows]
+        for mode in POLICIES:
+            model, _ = model_for_policy(desk_cfg, desk_dvpt, mode)
+            report = report_from_config(desk_cfg, desk_dvpt, mode)
+            assert [(r.name, r.shape) for r in report.rows] == sorted(
+                (name, t.shape) for name, t in model.params.items()), mode
 
     def test_consistent_with_optimizer_view(self, desk_cfg, desk_dvpt):
-        model, policy = model_for_policy(desk_cfg, desk_dvpt, "dvpt")
-        report = enumerate_trainable(model, policy)
-        optimizer_names = {n for n, _ in model.trainable()}
-        assert {r.name for r in report.rows if r.trainable} == optimizer_names
+        for mode in POLICIES:
+            model, _ = model_for_policy(desk_cfg, desk_dvpt, mode)
+            report = report_from_config(desk_cfg, desk_dvpt, mode)
+            assert [r.name for r in report.rows if r.trainable] == sorted(
+                name for name, _ in model.trainable()), mode
 
 
 class TestDiscrepancy:

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dvpt import cli
 from dvpt.config import load_config
 from dvpt.vit import ConfigError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 BASE_CONFIG = """\
 [run]
@@ -119,6 +126,19 @@ class TestCliExitCodes:
     def test_missing_config_exits_two(self):
         assert cli.main(["count-params", "--config", "/nope.ini"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("unparsable", [
+        lambda text: text.replace("epochs = 2", "epochs = 2\nepochs = 3").encode(),
+        lambda text: text.split("\n", 1)[1].encode(),
+        lambda text: b"\xff\xfe" + text.encode(),
+    ], ids=["repeated key", "no section header", "non-UTF-8 bytes"])
+    def test_config_parser_cannot_read_exits_two(self, tmp_path, unparsable, capsys):
+        path = Path(write_config(tmp_path))
+        path.write_bytes(unparsable(path.read_text()))
+        assert cli.main(["count-params", "--config", str(path)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"config error: cannot parse config file '{path}': ")
+
     def test_corrupt_checkpoint_exits_four(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         bad = tmp_path / "bad.ckpt"
@@ -173,7 +193,6 @@ def dataset_config(tmp_path, dataset):
 
 
 class TestNonFiniteLoss:
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_huge_pixel_stops_finetune_with_exit_two(self, tmp_path, workspace, capsys):
         from dvpt.data import synth_generate
         ds = synth_generate("classification", 16, seed=5)
@@ -191,7 +210,6 @@ class TestNonFiniteLoss:
         assert err.count("\n") == 1 and err.startswith("config error: gradient of 'adapter")
         assert "at epoch 0, batch" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_pixel_stops_eval_with_exit_two(self, tmp_path, workspace, capsys):
         from dvpt.data import synth_generate
         ds = synth_generate("classification", 16, seed=5)
@@ -203,6 +221,25 @@ class TestNonFiniteLoss:
         assert code == cli.EXIT_CONFIG and not captured.out
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("config error: non-finite logits for sample 3: ")
+
+
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_huge_pixel_writes_one_stderr_line_from_a_shell(self, tmp_path, workspace, command):
+        from dvpt.data import synth_generate
+        ds = synth_generate("classification", 16, seed=5)
+        ds.images[3, 5, 7, 0] = 3e38
+        cfg = dataset_config(tmp_path, ds)
+        last = {"finetune": ["--out", str(tmp_path / "task.ckpt")],
+                "eval": ["--task-ckpt", str(workspace["task"])]}[command]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        env.pop("PYTHONWARNINGS", None)  # numpy's warnings print as in a shell
+        proc = subprocess.run(
+            [sys.executable, "-m", "dvpt.cli", command, "--config", cfg,
+             "--backbone", str(workspace["backbone"]), *last],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("config error: ")
 
 
 class TestDatasetFitsModel:

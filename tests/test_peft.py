@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dvpt import peft
 from dvpt import tensor as T
 from dvpt.model import Model, init_params, model_for_policy, param_shapes
-from dvpt.peft import DvptConfig, FreezePolicy, build_sharing_map
+from dvpt.peft import DvptConfig, FreezePolicy
 from dvpt.tensor import Tape, Tensor, backward
 from dvpt.training import AdamState, adam_step, batch_loss
 from dvpt.vit import ConfigError, TokenSequence
@@ -222,23 +224,37 @@ class TestAdapterBlock:
 
 
 class TestSharing:
-    def test_block_counts(self):
-        assert len(set(build_sharing_map(12, 1).values())) == 12
-        assert len(set(build_sharing_map(12, 12).values())) == 1
-        mapping = build_sharing_map(12, 2)
-        assert len(set(mapping.values())) == 6
-        for layer, block in mapping.items():
-            assert block == layer // 2
+    @staticmethod
+    def blocks_read(monkeypatch, cfg, share_every):
+        """The adapter block index ``Model.forward`` hands each layer, in
+        layer order."""
+        real = peft.dvpt_block_forward
+        seen = []
 
-    def test_remainder_layers_use_last_block(self):
-        mapping = build_sharing_map(5, 2)
-        assert [mapping[i] for i in range(5)] == [0, 0, 1, 1, 2]
+        def spy(seq, params, block_prefix, adapter_prefix, cfg):
+            seen.append(int(adapter_prefix.removeprefix("adapter")))
+            return real(seq, params, block_prefix, adapter_prefix, cfg)
 
-    def test_invalid_share_factor(self):
-        with pytest.raises(ConfigError):
-            build_sharing_map(4, 0)
-        with pytest.raises(ConfigError):
-            build_sharing_map(4, 5)
+        model = Model(cfg, DvptConfig(4, 4, share_every, 0.5), seed=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(peft, "dvpt_block_forward", spy)
+            model.forward(Tensor(np.ones((1, 16, 16, 1), np.float32)))
+        assert sum(name.endswith(".gate") for name in model.params) == len(set(seen))
+        return seen
+
+    def test_block_counts(self, desk_cfg, monkeypatch):
+        assert self.blocks_read(monkeypatch, desk_cfg, 1) == [0, 1, 2, 3]
+        assert self.blocks_read(monkeypatch, desk_cfg, 4) == [0, 0, 0, 0]
+        assert self.blocks_read(monkeypatch, desk_cfg, 2) == [0, 0, 1, 1]
+
+    def test_remainder_layers_use_last_block(self, desk_cfg, monkeypatch):
+        depth5 = dataclasses.replace(desk_cfg, depth=5)
+        assert self.blocks_read(monkeypatch, depth5, 2) == [0, 0, 1, 1, 2]
+
+    def test_invalid_share_factor(self, desk_cfg):
+        for share_every in (0, 5):
+            with pytest.raises(ConfigError, match=rf"share_every {share_every} outside"):
+                Model(desk_cfg, DvptConfig(4, 4, share_every, 0.5))
 
     def test_shared_gradient_equals_sum_of_tied_per_layer_gradients(self, desk_cfg):
         dv_shared = DvptConfig(4, 4, 2, 0.5)

@@ -314,7 +314,6 @@ class TestTrainLoop:
         with pytest.raises(ContractError, match="empty dataset"):
             training.evaluate(model, np.zeros((0, 16, 16, 1)), np.zeros(0, np.uint16))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_evaluate_names_first_sample_with_non_finite_logits(self, desk_cfg, desk_dvpt):
         model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt")
         images, labels = self._data(n=6)
@@ -372,7 +371,6 @@ def test_train_loop_stops_on_nan_loss_before_any_update(desk_cfg, desk_dvpt):
     assert all(np.array_equal(t.data, before[n]) for n, t in model.params.items())
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_train_loop_stops_on_gradient_too_large_to_square(desk_cfg, desk_dvpt):
     # while the gate is 0 the huge adapter output stays out of the loss but
     # not out of the gate's gradient, whose square overflows float32
