@@ -4,7 +4,18 @@ A small numpy-backed engine: forward operations optionally record onto an
 active :class:`Tape`, and ``backward`` replays the tape in reverse to
 accumulate gradients.  Only the primitives needed by the transformer and
 the prompt-adapter branch are implemented.
+
+A tape node holds only what its backward reads.  Its closure captures
+arrays, shapes and the inputs' ``requires_grad`` flags at record time,
+never a Tensor, and the node keeps no output.  It names where each
+input's gradient goes: the index of the node on the same tape that
+produced the input, the input itself if it is a leaf that requires a
+gradient, or nothing.  A Tensor carries only a (tape serial, node index)
+tag for the node that produced it, so holding a Tensor keeps no graph
+alive.
 """
+
+import itertools
 
 import numpy as np
 from scipy.special import erf
@@ -24,6 +35,7 @@ class GradError(RuntimeError):
 
 
 _TAPE_STACK = []
+_TAPE_SERIALS = itertools.count()
 
 
 class Tensor:
@@ -33,7 +45,7 @@ class Tensor:
     Data is float32 or float64, row-major.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_producer")
 
     def __init__(self, data, requires_grad=False, name=None, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -43,6 +55,7 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
+        self._producer = None  # (tape serial, node index) once a tape records it
 
     @property
     def shape(self):
@@ -69,11 +82,13 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "backward_fn")
+    """One recorded operation: its backward rule, and per input slot the
+    source its gradient goes to (see ``Tape._source``)."""
 
-    def __init__(self, inputs, output, backward_fn):
-        self.inputs = inputs
-        self.output = output
+    __slots__ = ("sources", "backward_fn")
+
+    def __init__(self, sources, backward_fn):
+        self.sources = sources
         self.backward_fn = backward_fn
 
 
@@ -86,6 +101,7 @@ class Tape:
 
     def __init__(self):
         self._nodes = []
+        self._serial = next(_TAPE_SERIALS)
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -100,7 +116,19 @@ class Tape:
         return len(self._nodes)
 
     def record(self, inputs, output, backward_fn):
-        self._nodes.append(_Node(inputs, output, backward_fn))
+        sources = tuple(self._source(t) for t in inputs)
+        output._producer = (self._serial, len(self._nodes))
+        self._nodes.append(_Node(sources, backward_fn))
+
+    def _source(self, tensor):
+        """Where backward sends ``tensor``'s gradient: the index of the node
+        on this tape that produced it; else, for a leaf (a tensor no node on
+        this tape produced), the tensor itself if it requires a gradient,
+        and None if not."""
+        producer = tensor._producer
+        if producer is not None and producer[0] == self._serial:
+            return producer[1]
+        return tensor if tensor.requires_grad else None
 
 
 def active_tape():
@@ -111,33 +139,45 @@ def backward(loss, tape):
     """Accumulate d(loss)/d(tensor) into ``grad`` for every requires_grad
     leaf of ``loss`` on ``tape``.
 
-    A leaf is a tensor that no node on ``tape`` produced: parameters and
-    user inputs.  Intermediates pass their gradient on and keep
-    ``grad`` None; each one's gradient is dropped as soon as its node has
-    consumed it.  Gradients add onto whatever is already in ``grad``;
-    running backward twice without zeroing doubles every gradient exactly.
+    A leaf is a tensor that no node on ``tape`` produced: parameters,
+    user inputs and tensors produced on another tape.  Gradients flow by
+    node index: each node's output gradient is summed from its consumers'
+    contributions, handed to its backward rule once every consumer has
+    run, and dropped; intermediates keep ``grad`` None.  Contributions to
+    one node or leaf add in reverse node order, then slot order within a
+    node, each onto the sum so far.  Gradients add onto whatever is
+    already in ``grad``; running backward twice without zeroing doubles
+    every gradient exactly.
     """
     if loss.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
-    flowing = {id(loss): (loss, np.ones_like(loss.data))}
-    for node in reversed(tape._nodes):
-        entry = flowing.pop(id(node.output), None)
-        if entry is None:
+    flowing = {}  # node index -> gradient of that node's output
+    leaves = {}  # id(leaf) -> (leaf, gradient)
+
+    def send(source, g):
+        if isinstance(source, int):
+            if source in flowing:
+                g = flowing[source] + g
+            flowing[source] = g
+        elif source is not None:
+            key = id(source)
+            if key in leaves:
+                g = leaves[key][1] + g
+            leaves[key] = (source, g)
+
+    send(tape._source(loss), np.ones_like(loss.data))
+    for index in range(len(tape._nodes) - 1, -1, -1):
+        og = flowing.pop(index, None)
+        if og is None:
             continue
-        grads = node.backward_fn(entry[1])
-        for tensor, g in zip(node.inputs, grads):
-            if g is None or not tensor.requires_grad:
-                continue
-            key = id(tensor)
-            if key in flowing:
-                g = flowing[key][1] + g
-            flowing[key] = (tensor, g)
-    for tensor, g in flowing.values():
-        if not tensor.requires_grad:
-            continue
-        if tensor.grad is None:
-            tensor.grad = np.zeros_like(tensor.data)
-        tensor.grad += g
+        node = tape._nodes[index]
+        for source, g in zip(node.sources, node.backward_fn(og)):
+            if g is not None:
+                send(source, g)
+    for leaf, g in leaves.values():
+        if leaf.grad is None:
+            leaf.grad = np.zeros_like(leaf.data)
+        leaf.grad += g
 
 
 def _emit(data, inputs, backward_fn):
@@ -163,32 +203,43 @@ def _reduce_to_shape(grad, shape):
 # elementwise / broadcast arithmetic
 
 def add(a, b):
+    need_a, need_b, a_shape, b_shape = a.requires_grad, b.requires_grad, a.shape, b.shape
+
     def bwd(og):
         return (
-            _reduce_to_shape(og, a.shape) if a.requires_grad else None,
-            _reduce_to_shape(og, b.shape) if b.requires_grad else None,
+            _reduce_to_shape(og, a_shape) if need_a else None,
+            _reduce_to_shape(og, b_shape) if need_b else None,
         )
 
     return _emit(a.data + b.data, (a, b), bwd)
 
 
 def mul(a, b):
+    need_a, need_b, a_shape, b_shape = a.requires_grad, b.requires_grad, a.shape, b.shape
+    # each operand's gradient reads the other operand
+    a_data = a.data if need_b else None
+    b_data = b.data if need_a else None
+
     def bwd(og):
         return (
-            _reduce_to_shape(og * b.data, a.shape) if a.requires_grad else None,
-            _reduce_to_shape(og * a.data, b.shape) if b.requires_grad else None,
+            _reduce_to_shape(og * b_data, a_shape) if need_a else None,
+            _reduce_to_shape(og * a_data, b_shape) if need_b else None,
         )
 
     return _emit(a.data * b.data, (a, b), bwd)
 
 
 def div(a, b):
+    need_a, need_b, a_shape, b_shape = a.requires_grad, b.requires_grad, a.shape, b.shape
+    a_data = a.data if need_b else None
+    b_data = b.data  # both gradients read the divisor
+
     def bwd(og):
         ga = gb = None
-        if a.requires_grad:
-            ga = _reduce_to_shape(og / b.data, a.shape)
-        if b.requires_grad:
-            gb = _reduce_to_shape(-og * a.data / (b.data * b.data), b.shape)
+        if need_a:
+            ga = _reduce_to_shape(og / b_data, a_shape)
+        if need_b:
+            gb = _reduce_to_shape(-og * a_data / (b_data * b_data), b_shape)
         return (ga, gb)
 
     return _emit(a.data / b.data, (a, b), bwd)
@@ -247,23 +298,28 @@ def _check_matmul(a, b):
         raise ShapeError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
 
 
-def _matmul_grads(og, a, b, need_a, need_b):
-    """The matmul rule: gradients of arrays ``a`` and ``b`` through a @ b,
-    None where not needed."""
-    ga = gb = None
-    if need_a:
-        ga = _reduce_to_shape(np.matmul(og, np.swapaxes(b, -1, -2)), a.shape)
-    if need_b:
-        gb = _reduce_to_shape(np.matmul(np.swapaxes(a, -1, -2), og), b.shape)
-    return ga, gb
+def _matmul_rule(a, b, need_a, need_b):
+    """The matmul rule for arrays ``a @ b``: a function from the product's
+    gradient to (a's gradient, b's gradient), None where not needed.  It
+    keeps ``b`` only for a's gradient and ``a`` only for b's."""
+    a_shape, b_shape = a.shape, b.shape
+    a = a if need_b else None
+    b = b if need_a else None
+
+    def grads(og):
+        ga = gb = None
+        if need_a:
+            ga = _reduce_to_shape(np.matmul(og, np.swapaxes(b, -1, -2)), a_shape)
+        if need_b:
+            gb = _reduce_to_shape(np.matmul(np.swapaxes(a, -1, -2), og), b_shape)
+        return ga, gb
+
+    return grads
 
 
 def matmul(a, b):
     _check_matmul(a, b)
-
-    def bwd(og):
-        return _matmul_grads(og, a.data, b.data, a.requires_grad, b.requires_grad)
-
+    bwd = _matmul_rule(a.data, b.data, a.requires_grad, b.requires_grad)
     return _emit(np.matmul(a.data, b.data), (a, b), bwd)
 
 
@@ -281,10 +337,11 @@ def linear(x, weight, bias):
             f"linear bias must be 1-D {out.shape[-1:]} {out.dtype}, "
             f"got {bias.shape} {bias.dtype}")
     out += bias.data
+    product = _matmul_rule(x.data, weight.data, x.requires_grad, weight.requires_grad)
+    need_bias, bias_shape = bias.requires_grad, bias.shape
 
     def bwd(og):
-        grads = _matmul_grads(og, x.data, weight.data, x.requires_grad, weight.requires_grad)
-        return grads + (_reduce_to_shape(og, bias.shape) if bias.requires_grad else None,)
+        return product(og) + (_reduce_to_shape(og, bias_shape) if need_bias else None,)
 
     return _emit(out, (x, weight, bias), bwd)
 
@@ -303,15 +360,17 @@ def attention(q, k, v, factor):
     _check_matmul(weights, v)
     weights *= factor
     _softmax_kernel(weights, -1, out=weights)
+    need_weights = q.requires_grad or k.requires_grad
+    weighted = _matmul_rule(weights, v.data, need_weights, v.requires_grad)
+    scores = _matmul_rule(q.data, kt, q.requires_grad, k.requires_grad)
 
     def bwd(og):
-        need_weights = q.requires_grad or k.requires_grad
-        gw, gv = _matmul_grads(og, weights, v.data, need_weights, v.requires_grad)
+        gw, gv = weighted(og)
         gq = gk = None
         if need_weights:
             gs = _softmax_grad(gw, weights, -1)
             gs *= factor
-            gq, gkt = _matmul_grads(gs, q.data, kt, q.requires_grad, k.requires_grad)
+            gq, gkt = scores(gs)
             if gkt is not None:
                 gk = np.swapaxes(gkt, -1, -2)
         return (gq, gk, gv)
@@ -341,9 +400,10 @@ def reshape(a, shape):
 
 def broadcast_to(a, shape):
     shape = tuple(shape)
+    old = a.shape
 
     def bwd(og):
-        return (_reduce_to_shape(og, a.shape),)
+        return (_reduce_to_shape(og, old),)
 
     return _emit(np.broadcast_to(a.data, shape).copy(), (a,), bwd)
 
@@ -353,15 +413,15 @@ def broadcast_to(a, shape):
 
 def concat(tensors, axis):
     tensors = list(tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    needs = [t.requires_grad for t in tensors]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def bwd(og):
         pieces = []
-        for i, t in enumerate(tensors):
+        for i, need in enumerate(needs):
             idx = [slice(None)] * og.ndim
             idx[axis] = slice(offsets[i], offsets[i + 1])
-            pieces.append(og[tuple(idx)] if t.requires_grad else None)
+            pieces.append(og[tuple(idx)] if need else None)
         return tuple(pieces)
 
     return _emit(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
@@ -371,9 +431,10 @@ def slice_axis(a, axis, start, stop):
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
+    shape, dtype = a.shape, a.dtype
 
     def bwd(og):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[idx] = og
         return (full,)
 
@@ -396,23 +457,26 @@ def split(a, sizes, axis):
 # reductions and normalizers
 
 def tsum(a, axis=None, keepdims=False):
+    shape = a.shape
+
     def bwd(og):
         if axis is None:
-            return (np.broadcast_to(og, a.shape).copy(),)
+            return (np.broadcast_to(og, shape).copy(),)
         g = og if keepdims else np.expand_dims(og, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _emit(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def tmean(a, axis=None, keepdims=False):
-    count = a.size if axis is None else a.shape[axis]
+    shape = a.shape
+    count = a.size if axis is None else shape[axis]
 
     def bwd(og):
         if axis is None:
-            return (np.broadcast_to(og, a.shape).copy() / count,)
+            return (np.broadcast_to(og, shape).copy() / count,)
         g = og if keepdims else np.expand_dims(og, axis)
-        return (np.broadcast_to(g, a.shape).copy() / count,)
+        return (np.broadcast_to(g, shape).copy() / count,)
 
     return _emit(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -477,21 +541,26 @@ def layernorm(x, gamma, beta, eps=1e-5):
     xhat *= inv_std
     out_data = np.multiply(xhat, gamma.data, out=squares)
     out_data += beta.data
+    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    gamma_shape, beta_shape = gamma.shape, beta.shape
+    # x's gradient reads xhat, inv_std and gamma; gamma's reads xhat
+    kept_xhat = xhat if need_x or need_gamma else None
+    kept_inv_std, kept_gamma = (inv_std, gamma.data) if need_x else (None, None)
 
     def bwd(og):
         dx = dgamma = dbeta = None
-        if x.requires_grad:
-            dxhat = og * gamma.data
+        if need_x:
+            dxhat = og * kept_gamma
             dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
-            proj = dxhat * xhat
-            np.multiply(xhat, proj.mean(axis=-1, keepdims=True), out=proj)
+            proj = dxhat * kept_xhat
+            np.multiply(kept_xhat, proj.mean(axis=-1, keepdims=True), out=proj)
             dx -= proj
-            dx *= inv_std
+            dx *= kept_inv_std
         reduce_axes = tuple(range(og.ndim - 1))
-        if gamma.requires_grad:
-            dgamma = (og * xhat).sum(axis=reduce_axes).reshape(gamma.shape)
-        if beta.requires_grad:
-            dbeta = og.sum(axis=reduce_axes).reshape(beta.shape)
+        if need_gamma:
+            dgamma = (og * kept_xhat).sum(axis=reduce_axes).reshape(gamma_shape)
+        if need_beta:
+            dbeta = og.sum(axis=reduce_axes).reshape(beta_shape)
         return (dx, dgamma, dbeta)
 
     return _emit(out_data, (x, gamma, beta), bwd)

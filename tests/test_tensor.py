@@ -1,3 +1,9 @@
+import gc
+import importlib.util
+import tracemalloc
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -565,3 +571,119 @@ def test_in_place_kernels_keep_the_out_of_place_bits(dtype, kernel):
            "softmax": (lambda t: T.softmax(t, axis=-1), [x])}
     op, values = ops[kernel]
     _assert_same_bits(_grads_through(op, values, dtype), [out] + grads)
+
+
+# ---------------------------------------------------------------------------
+# a tape node keeps only what its backward reads
+
+# Input slots whose arrays an op's backward reads, each mapped to the slots
+# whose gradients read it; an op or slot not listed reads no input array.
+_READS = {
+    "mul": {0: {1}, 1: {0}},
+    "div": {0: {1}, 1: {0, 1}},
+    "matmul": {0: {1}, 1: {0}},
+    "layernorm": {1: {0}},
+    "linear": {0: {1}, 1: {0}},
+    "attention": {0: {1}, 1: {0}, 2: {0, 1}},
+    "attention_shared_kv": {0: {1}, 1: {0, 1}},
+    "gelu": {0: {0}},
+}
+_KEPT_CASES = _FROZEN_SLOT_CASES + [(name, op, [shape], None)  # the single-input primitives
+                                    for name, op, arity, shape in _PRIMITIVE_CASES if arity == 1]
+
+
+def _recorded_op_arrays(op, shapes, frozen):
+    """Record ``op`` on a tape, each training input made by a node on the
+    same tape (so the tape holds no leaf Tensor for it) and the ``frozen``
+    slot a plain leaf.  Returns the tape and weakrefs to the op's input
+    arrays and its output array; nothing else refers to them."""
+    rng = np.random.default_rng(35)
+    values = [rng.normal(size=s) for s in shapes]
+    values[-1] = np.abs(values[-1]) + 0.5  # a safe divisor for div
+    with Tape() as tape:
+        inputs = [Tensor(v) if i == frozen else T.scale(Tensor(v, requires_grad=True), 1.0)
+                  for i, v in enumerate(values)]
+        out = op(*inputs)
+    return tape, [weakref.ref(t.data) for t in inputs], weakref.ref(out.data)
+
+
+@pytest.mark.parametrize("name,op,shapes,frozen", _KEPT_CASES,
+                         ids=[c[0] if c[3] is None else f"{c[0]}-frozen{c[3]}"
+                              for c in _KEPT_CASES])
+def test_node_keeps_only_the_arrays_its_backward_reads(name, op, shapes, frozen):
+    tape, input_refs, output_ref = _recorded_op_arrays(op, shapes, frozen)
+    assert len(tape) == len(shapes) - (frozen is not None) + 1
+    kept = [ref() is not None for ref in input_refs]
+    reads = [bool(_READS.get(name, {}).get(i, set()) - {frozen}) for i in range(len(shapes))]
+    assert kept == reads
+    # softmax's backward reads its output; no other node keeps one
+    assert (output_ref() is not None) == (name == "softmax")
+
+
+def test_graph_does_not_outlive_its_tape():
+    rng = np.random.default_rng(36)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            h = T.matmul(x, w)
+            probs = T.softmax(T.gelu(h), axis=-1)
+            loss = T.tsum(probs)
+        # gelu's node keeps its input and softmax's its output
+        held = [weakref.ref(h.data), weakref.ref(probs.data)]
+        del h, probs
+        assert all(ref() is not None for ref in held)
+        tape_ref = weakref.ref(tape)
+        del tape
+        assert tape_ref() is None
+        assert all(ref() is None for ref in held)
+        assert loss.size == 1
+    finally:
+        gc.enable()
+
+
+def test_tensor_from_another_tape_is_a_leaf():
+    x = Tensor(np.random.default_rng(37).normal(size=(3, 4)), requires_grad=True)
+    with Tape():
+        y = T.scale(x, 2.0)
+    with Tape() as second:
+        loss = T.tsum(T.mul(y, y))
+    backward(loss, second)
+    assert np.array_equal(y.grad, y.data + y.data)
+    assert x.grad is None
+
+
+def _benchmark_finetune_shape():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "shapes.py"
+    spec = importlib.util.spec_from_file_location("benchmark_shapes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FINETUNE
+
+
+# Bytes one taped mid-config forward leaves allocated.  Backward reads ~68 MiB
+# of them under either policy; a tape whose nodes keep every input and
+# output holds 119 (dvpt) and 84 MiB (full fine-tuning).
+@pytest.mark.parametrize("policy,limit_mib", [("dvpt", 75), ("full_finetune", 72)])
+def test_taped_forward_retains_only_what_backward_reads(policy, limit_mib):
+    from dvpt import training
+    from dvpt.model import model_for_policy
+
+    shape = _benchmark_finetune_shape()
+    cfg = shape.vit
+    model, _ = model_for_policy(cfg, shape.dvpt, policy, seed=0)
+    rng = np.random.default_rng(38)
+    images = rng.normal(size=(shape.batch_size, cfg.image_h, cfg.image_w, cfg.channels))
+    labels = rng.integers(0, cfg.num_classes, size=shape.batch_size)
+    images = images.astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            loss = training.batch_loss(model, images, labels)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape) > 0 and loss.size == 1
+    assert retained <= limit_mib * (1 << 20), retained / (1 << 20)
