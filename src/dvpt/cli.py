@@ -210,6 +210,8 @@ _COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config)
         _check_writable(getattr(args, "out", None), getattr(args, "history", None))
         return _COMMANDS[args.command](cfg, args)

@@ -14,6 +14,7 @@ Dataset file layout (all little-endian):
     labels : count u16 (classification) or count*H*W u16 (mask grids)
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -65,6 +66,8 @@ class DataConfig:
             raise ConfigError("[data] source = file requires a path")
         if self.source == "synthetic" and self.family not in ("a", "b"):
             raise ConfigError(f"[data] family must be 'a' or 'b', got {self.family!r}")
+        if self.seed < 0:
+            raise ConfigError(f"[data] seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -102,6 +105,8 @@ def synth_generate(task, count, seed, difficulty=0.3, family="a",
         raise DatasetError(f"count must be positive, got {count}")
     if family not in ("a", "b"):
         raise DatasetError(f"family must be 'a' or 'b', got {family!r}")
+    if not 0 <= difficulty < math.inf:
+        raise DatasetError(f"difficulty must be finite and >= 0, got {difficulty}")
     rng = np.random.default_rng(seed)
     images = np.empty((count, h, w, channels), dtype=np.float32)
     if task == "classification":

@@ -9,6 +9,7 @@ is up-projected and scaled by a learnable scalar gate, and added to the
 block output as an extra residual.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ class DvptConfig:
             raise ConfigError(
                 f"share_every {self.share_every} outside [1, depth={vit_cfg.depth}]"
             )
+        if not math.isfinite(self.gate_init):
+            raise ConfigError(f"gate_init must be finite, got {self.gate_init}")
         return self
 
     def num_blocks(self, depth):

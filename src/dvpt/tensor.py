@@ -262,7 +262,12 @@ def add_const(a, value):
 
 
 def gelu(a):
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+    """Exact Gaussian-CDF GELU: x * Phi(x).
+
+    When the node will be recorded, the forward also computes the
+    derivative Phi(x) + x * phi(x), and the node keeps only that; an
+    untaped forward computes no derivative.
+    """
     x = a.data
     # out= keeps 0-d results arrays: a plain ufunc call returns a numpy
     # scalar there, which the in-place steps cannot write into.
@@ -270,18 +275,21 @@ def gelu(a):
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    out = x * cdf
+    if not (a.requires_grad and active_tape() is not None):
+        return _emit(out, (a,), None)
+    g = np.multiply(x, -0.5, out=np.empty_like(x))
+    g *= x
+    np.exp(g, out=g)
+    g *= _INV_SQRT_2PI
+    g *= x
+    g += cdf
 
     def bwd(og):
-        g = np.multiply(x, -0.5, out=np.empty_like(x))
-        g *= x
-        np.exp(g, out=g)
-        g *= _INV_SQRT_2PI
-        g *= x
-        g += cdf
         # og may be wider than x (a float64 consumer), so not in place.
         return (og * g,)
 
-    return _emit(x * cdf, (a,), bwd)
+    return _emit(out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 gradient checker and the training loop.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,12 @@ class OptimizerConfig:
     seed: int = 0
 
     def validate(self):
-        if self.lr < 0 or self.epochs < 0 or self.batch_size <= 0:
-            raise ConfigError("[optimizer] lr/epochs must be >= 0 and batch_size > 0")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"[optimizer] lr must be finite and >= 0, got {self.lr}")
+        if self.epochs < 0 or self.batch_size <= 0:
+            raise ConfigError("[optimizer] epochs must be >= 0 and batch_size > 0")
+        if self.seed < 0:
+            raise ConfigError(f"[optimizer] seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -265,9 +270,16 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, step=1e-5, seed=0):
     """Compare analytic gradients against central finite differences.
 
     Samples trainable scalars uniformly (frozen tensors are never
-    candidates), perturbs each by +-step and recomputes the loss.  Returns
-    a dict with the max relative error and pass flag.
+    candidates), perturbs each by +-step and recomputes the loss with no
+    tape alive: the analytic pass's tape is dropped once its backward has
+    run.  Returns a dict with the max relative error and pass flag.
+    Raises ContractError unless ``samples`` >= 1 and ``tol`` is positive
+    and finite.
     """
+    if samples < 1:
+        raise ContractError(f"grad_check samples must be >= 1, got {samples}")
+    if not 0 < tol < math.inf:
+        raise ContractError(f"grad_check tol must be positive and finite, got {tol}")
     if model.dtype != np.float64:
         raise ContractError("grad_check requires a float64 model")
     if len(images) == 0:
@@ -276,6 +288,7 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, step=1e-5, seed=0):
     with Tape() as tape:
         loss = batch_loss(model, images, labels)
     backward(loss, tape)
+    del tape  # the finite-difference forwards below run untaped
 
     trainable = model.trainable()
     sizes = np.array([t.size for _, t in trainable])
@@ -314,6 +327,8 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
                seed=0, eval_metrics=True):
     """Seeded mini-batch fine-tuning under a freeze policy.
 
+    Each step's tape is dropped as soon as its backward has run, so Adam
+    and ``evaluate`` run with none of that step's activations alive.
     Returns a per-epoch history of loss (and metrics).  Raises
     ContractError naming the epoch and batch when a batch's loss is not
     finite (before it updates anything), or when a gradient is not finite
@@ -343,6 +358,7 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
             trainable = model.trainable()
             with np.errstate(**_OVERFLOW_CHECKED):
                 backward(loss, tape)
+                del tape  # frees the step's activations before Adam and evaluate
                 adam_step(trainable, state)
             # The second moment (running mean of squared gradients) is the
             # first state to go non-finite, from a gradient that is NaN, inf

@@ -164,6 +164,43 @@ class TestCliExitCodes:
         assert code == cli.EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags,config,message", [
+        (["--seed", "-1"], {}, "--seed must be >= 0, got -1"),
+        ([], {"mutate": lambda t: t.replace("seed = 0", "seed = -3")},
+         "[optimizer] seed must be >= 0, got -3"),
+        ([], {"data_seed": -3}, "[data] seed must be >= 0, got -3"),
+        ([], {"lr": "nan"}, "[optimizer] lr must be finite and >= 0, got nan"),
+        ([], {"lr": "inf"}, "[optimizer] lr must be finite and >= 0, got inf"),
+        ([], {"gate_init": "inf"}, "gate_init must be finite, got inf"),
+        ([], {"gate_init": "nan"}, "gate_init must be finite, got nan"),
+        ([], {"mutate": lambda t: t.replace("difficulty = 0.3", "difficulty = nan")},
+         "difficulty must be finite and >= 0, got nan"),
+        ([], {"mutate": lambda t: t.replace("difficulty = 0.3", "difficulty = -1")},
+         "difficulty must be finite and >= 0, got -1.0"),
+    ], ids=["--seed -1", "optimizer seed -3", "data seed -3", "lr nan", "lr inf",
+            "gate_init inf", "gate_init nan", "difficulty nan", "difficulty -1"])
+    def test_negative_seed_or_out_of_range_value_exits_two(self, tmp_path, flags, config, message,
+                                                            capsys):
+        path = write_config(tmp_path, **config)
+        code = cli.main(["pretrain", "--config", path, "--out", str(tmp_path / "o.ckpt"), *flags])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert not captured.out and captured.err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--samples", "-1"], "samples must be >= 1, got -1"),
+        (["--samples", "0"], "samples must be >= 1, got 0"),
+        (["--tol", "nan"], "tol must be positive and finite, got nan"),
+        (["--tol", "-1"], "tol must be positive and finite, got -1.0"),
+    ], ids=["samples -1", "samples 0", "tol nan", "tol -1"])
+    def test_grad_check_without_a_sample_or_a_usable_tol_exits_two(self, tmp_path, flags,
+                                                                   message, capsys):
+        cfg = write_config(tmp_path, gate_init=0.3, count=4)
+        code = cli.main(["grad-check", "--config", cfg, *flags])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert not captured.out and captured.err == f"config error: grad_check {message}\n"
+
     def test_missing_backbone_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         missing = tmp_path / "missing.ckpt"

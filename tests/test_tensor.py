@@ -586,7 +586,6 @@ _READS = {
     "linear": {0: {1}, 1: {0}},
     "attention": {0: {1}, 1: {0}, 2: {0, 1}},
     "attention_shared_kv": {0: {1}, 1: {0, 1}},
-    "gelu": {0: {0}},
 }
 _KEPT_CASES = _FROZEN_SLOT_CASES + [(name, op, [shape], None)  # the single-input primitives
                                     for name, op, arity, shape in _PRIMITIVE_CASES if arity == 1]
@@ -620,17 +619,48 @@ def test_node_keeps_only_the_arrays_its_backward_reads(name, op, shapes, frozen)
     assert (output_ref() is not None) == (name == "softmax")
 
 
+def test_gelu_node_keeps_only_its_derivative():
+    x = T.scale(Tensor(np.random.default_rng(39).normal(size=(4, 6)), requires_grad=True), 1.0)
+    with Tape() as tape:
+        T.gelu(x)
+    closure = tape._nodes[-1].backward_fn.__closure__
+    arrays = [cell.cell_contents for cell in closure
+              if isinstance(cell.cell_contents, np.ndarray)]
+    assert len(arrays) == 1
+    assert arrays[0].shape == x.shape and arrays[0].dtype == x.dtype
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_gelu_computes_its_derivative_only_when_taped(taped):
+    x = Tensor(np.random.default_rng(40).normal(size=(256, 256)), requires_grad=True)
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        if taped:
+            with tape:
+                T.gelu(x)
+        else:
+            T.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the CDF and the output; a recorded node also allocates the derivative
+    arrays = 3 if taped else 2
+    assert arrays * x.data.nbytes <= peak < (arrays + 0.5) * x.data.nbytes
+
+
 def test_graph_does_not_outlive_its_tape():
     rng = np.random.default_rng(36)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    s = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     gc.disable()
     try:
         with Tape() as tape:
             h = T.matmul(x, w)
-            probs = T.softmax(T.gelu(h), axis=-1)
+            probs = T.softmax(T.mul(h, s), axis=-1)
             loss = T.tsum(probs)
-        # gelu's node keeps its input and softmax's its output
+        # mul's node keeps h for s's gradient, and softmax's node its output
         held = [weakref.ref(h.data), weakref.ref(probs.data)]
         del h, probs
         assert all(ref() is not None for ref in held)
@@ -662,10 +692,11 @@ def _benchmark_finetune_shape():
     return module.FINETUNE
 
 
-# Bytes one taped mid-config forward leaves allocated.  Backward reads ~68 MiB
-# of them under either policy; a tape whose nodes keep every input and
-# output holds 119 (dvpt) and 84 MiB (full fine-tuning).
-@pytest.mark.parametrize("policy,limit_mib", [("dvpt", 75), ("full_finetune", 72)])
+# Bytes one taped mid-config forward leaves allocated: ~53 (dvpt) and ~55 MiB
+# (full fine-tuning), all read by backward.  A tape whose nodes keep every
+# input and output holds 119 and 84 MiB, and one whose gelu nodes keep their
+# input and CDF instead of the derivative 68 and 67 MiB.
+@pytest.mark.parametrize("policy,limit_mib", [("dvpt", 58), ("full_finetune", 60)])
 def test_taped_forward_retains_only_what_backward_reads(policy, limit_mib):
     from dvpt import training
     from dvpt.model import model_for_policy

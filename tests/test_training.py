@@ -1,3 +1,7 @@
+import gc
+import re
+import weakref
+
 import numpy as np
 import pytest
 
@@ -279,6 +283,34 @@ class TestGradCheck:
         with pytest.raises(ContractError, match="empty dataset"):
             grad_check(model, np.zeros((0, 16, 16, 1)), np.zeros(0, np.uint16))
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"samples": -1}, "samples must be >= 1, got -1"),
+        ({"samples": 0}, "samples must be >= 1, got 0"),
+        ({"tol": float("nan")}, "tol must be positive and finite, got nan"),
+        ({"tol": float("inf")}, "tol must be positive and finite, got inf"),
+        ({"tol": -1.0}, "tol must be positive and finite, got -1.0"),
+        ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+    ], ids=["samples -1", "samples 0", "tol nan", "tol inf", "tol -1", "tol 0"])
+    def test_rejects_samples_or_tol_it_cannot_check_with(self, desk_cfg, desk_dvpt, kwargs,
+                                                         match):
+        model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", dtype=np.float64)
+        with pytest.raises(ContractError, match=match):
+            grad_check(model, np.zeros((1, 16, 16, 1)), np.array([0]), **kwargs)
+
+    def test_finite_difference_forwards_run_with_no_tape_alive(self, desk_cfg, desk_dvpt,
+                                                                monkeypatch):
+        tapes = _watch_tapes(monkeypatch)
+        alive = _count_alive_tapes_on_entry(monkeypatch, "batch_loss", tapes)
+        model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=11, dtype=np.float64)
+        images = np.random.default_rng(9).normal(size=(2, 16, 16, 1))
+        gc.disable()
+        try:
+            grad_check(model, images, np.array([0, 2]), samples=3)
+        finally:
+            gc.enable()
+        assert len(tapes) == 1
+        assert alive == [1] + [0] * 6  # the analytic forward, then 3 pairs of forwards
+
 
 class TestTrainLoop:
     def _data(self, n=12, seed=0):
@@ -353,6 +385,34 @@ class TestTrainLoop:
         assert len(history) == 2 and "dice" in history[-1]
 
 
+def _watch_tapes(monkeypatch):
+    """Make ``training`` build its tapes from a Tape subclass that keeps a
+    weakref to each; returns the list the weakrefs go to."""
+    refs = []
+
+    class WatchedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(training, "Tape", WatchedTape)
+    return refs
+
+
+def _count_alive_tapes_on_entry(monkeypatch, name, tapes):
+    """Wrap ``training.<name>`` to note, on each call, how many of the
+    watched ``tapes`` are still alive; returns the list of counts."""
+    alive = []
+    original = getattr(training, name)
+
+    def counted(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in tapes))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, name, counted)
+    return alive
+
+
 def _desk_batches_of_four(desk_cfg, desk_dvpt):
     """A dvpt model, its policy, 8 images and labels, and train_loop's
     sample order at seed 0 (two batches of four)."""
@@ -383,6 +443,37 @@ def test_train_loop_stops_on_gradient_too_large_to_square(desk_cfg, desk_dvpt):
         training.train_loop(model, images, labels, policy, epochs=1, batch_size=4,
                             eval_metrics=False, seed=0)
     assert all(np.isfinite(t.data).all() for t in model.params.values())
+
+
+def test_train_loop_drops_each_tape_before_adam_and_evaluate(desk_cfg, desk_dvpt, monkeypatch):
+    model, policy, images, labels, _ = _desk_batches_of_four(desk_cfg, desk_dvpt)
+    tapes = _watch_tapes(monkeypatch)
+    at_adam = _count_alive_tapes_on_entry(monkeypatch, "adam_step", tapes)
+    at_evaluate = _count_alive_tapes_on_entry(monkeypatch, "evaluate", tapes)
+    gc.disable()  # reference counting alone must free each tape
+    try:
+        training.train_loop(model, images, labels, policy, epochs=2, batch_size=4, seed=0)
+    finally:
+        gc.enable()
+    assert len(tapes) == 4
+    assert at_adam == [0] * 4 and at_evaluate == [0] * 2
+
+
+def test_train_loop_reports_a_frozen_tensor_that_changed(desk_cfg, desk_dvpt, monkeypatch):
+    model, policy, images, labels, _ = _desk_batches_of_four(desk_cfg, desk_dvpt)
+    frozen = next(name for name, t in model.params.items() if not t.requires_grad)
+    original = training.adam_step
+
+    def adam_step_that_writes_a_frozen_weight(trainable, state):
+        original(trainable, state)
+        if state.step == 2:
+            model.params[frozen].data.flat[0] += 1.0
+
+    monkeypatch.setattr(training, "adam_step", adam_step_that_writes_a_frozen_weight)
+    with pytest.raises(AssertionError,
+                       match=f"^frozen tensor {re.escape(repr(frozen))} changed during training$"):
+        training.train_loop(model, images, labels, policy, epochs=2, batch_size=4,
+                            eval_metrics=False, seed=0)
 
 
 class TestMetricsReport:
