@@ -50,14 +50,15 @@ def save_checkpoint(path, tensors):
     names = sorted(arrays)
     header = [MAGIC, struct.pack("<II", VERSION, len(names))]
     payload = []
+    crc = 0
     for name in names:
         arr = arrays[name]
         encoded = name.encode("utf-8")
         header.append(struct.pack("<H", len(encoded)) + encoded)
         header.append(struct.pack(f"<B{arr.ndim}IB", arr.ndim, *arr.shape, _DTYPE_TAGS[arr.dtype]))
-        payload.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
-    body = b"".join(payload)
-    binfile.atomic_write(path, [*header, body, struct.pack("<I", zlib.crc32(body))])
+        payload.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
+        crc = zlib.crc32(payload[-1], crc)  # streamed: no byte copy of the payload
+    binfile.atomic_write(path, [*header, *payload, struct.pack("<I", crc)])
 
 
 def load_checkpoint(path):
@@ -90,6 +91,15 @@ def load_checkpoint(path):
     return {name: arr for (name, _, _), arr in zip(entries, arrays)}
 
 
+def _copy_into(model, name, arr, what):
+    """Copy ``arr`` into parameter ``name`` after checking its shape."""
+    param = model.params[name]
+    if tuple(arr.shape) != tuple(param.shape):
+        raise ArchitectureMismatchError(
+            f"{what} {name!r} shape {tuple(arr.shape)} != model {tuple(param.shape)}")
+    param.data = arr.astype(model.dtype, copy=True)
+
+
 def load_backbone(model, tensors):
     """Load the shared backbone weights into a model.
 
@@ -97,17 +107,10 @@ def load_backbone(model, tensors):
     shape; head / prompt / adapter entries in the checkpoint are ignored
     (they are task-specific).
     """
-    for name, param in model.params.items():
-        if not model_mod.is_backbone_param(name):
-            continue
+    for name in filter(model_mod.is_backbone_param, model.params):
         if name not in tensors:
             raise ArchitectureMismatchError(f"backbone tensor {name!r} missing from checkpoint")
-        arr = tensors[name]
-        if tuple(arr.shape) != tuple(param.shape):
-            raise ArchitectureMismatchError(
-                f"backbone tensor {name!r} shape {tuple(arr.shape)} != model {tuple(param.shape)}"
-            )
-        param.data = arr.astype(model.dtype, copy=True)
+        _copy_into(model, name, tensors[name], "backbone tensor")
 
 
 def load_task_params(model, tensors):
@@ -115,12 +118,7 @@ def load_task_params(model, tensors):
     for name, arr in tensors.items():
         if name not in model.params:
             raise ArchitectureMismatchError(f"checkpoint tensor {name!r} unknown to model")
-        param = model.params[name]
-        if tuple(arr.shape) != tuple(param.shape):
-            raise ArchitectureMismatchError(
-                f"tensor {name!r} shape {tuple(arr.shape)} != model {tuple(param.shape)}"
-            )
-        param.data = arr.astype(model.dtype, copy=True)
+        _copy_into(model, name, arr, "tensor")
 
 
 def save_trainable(path, model):

@@ -30,7 +30,7 @@ EXIT_ARCH_MISMATCH = 3
 EXIT_CORRUPT = 4
 
 
-def _load_data(cfg, seed_override=None):
+def _load_data(cfg):
     d = cfg.data
     if d.source == "file":
         ds = data_mod.load_dataset(d.path)
@@ -45,9 +45,8 @@ def _load_data(cfg, seed_override=None):
             raise ConfigError(
                 f"dataset label {ds.labels.max()} outside [model] num_classes = {m.num_classes}")
         return ds
-    seed = d.seed if seed_override is None else seed_override
     return data_mod.synth_generate(
-        cfg.task, d.count, seed, difficulty=d.difficulty, family=d.family,
+        cfg.task, d.count, d.seed, difficulty=d.difficulty, family=d.family,
         h=cfg.model.image_h, w=cfg.model.image_w, channels=cfg.model.channels,
         num_classes=cfg.model.num_classes,
     )

@@ -18,7 +18,7 @@ accumulate across the layers that share them.
 
 import numpy as np
 
-from . import peft, vit
+from . import peft, tensor as T, vit
 from .peft import FreezePolicy
 from .tensor import Tensor
 from .vit import ConfigError
@@ -120,7 +120,7 @@ class Model:
                  task="classification", seed=0, dtype=np.float32):
         if task not in TASKS:
             raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         self.dvpt_cfg = dvpt_cfg
         self.task = task
         self.dtype = np.dtype(dtype)
@@ -132,20 +132,22 @@ class Model:
     def forward(self, images, use_adapter=True):
         """Images [batch, H, W, C] -> logits ([batch, K] or patch-grid).
 
-        ``use_adapter=False`` excises the adapter branch while keeping the
-        prompt-extended sequence, for branch-off comparisons.
+        Block l maps x to (FFN(LN(mid)) + mid) + gate * branch(mid), with
+        mid = MHSA(LN(x)) + x; the branch term is there only with adapters.
+        ``use_adapter=False`` excises it while keeping the prompt-extended
+        sequence, for branch-off comparisons.
         """
         seq = vit.patch_embed(images, self.params, self.cfg)
         if self.dvpt_cfg is not None:
             seq = peft.append_prompts(seq, self.params["prompts"])
         for layer in range(self.cfg.depth):
+            block = f"block{layer}"
+            mid = vit.attention_residual(seq, self.params, block, self.cfg)
+            seq = vit.ffn_residual(mid, self.params, block)
             if self.has_adapter and use_adapter:
-                seq = peft.dvpt_block_forward(
-                    seq, self.params, f"block{layer}",
-                    f"adapter{layer // self.dvpt_cfg.share_every}", self.cfg,
-                )
-            else:
-                seq = vit.block_forward(seq, self.params, f"block{layer}", self.cfg)
+                adapter = f"adapter{layer // self.dvpt_cfg.share_every}"
+                branch = peft.adapter_branch(mid, self.params, adapter)
+                seq = seq.with_tokens(T.add(seq.tokens, branch.tokens))
         if self.task == "classification":
             return vit.classification_head(seq, self.params)
         return vit.segmentation_head(seq, self.params, self.cfg)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from . import vit
 from .vit import ConfigError, TokenSequence
 
 # Model variants a freeze policy can need.
@@ -93,7 +92,8 @@ def cavpt(seq):
     if m == 0:
         raise ConfigError("cross-attention needs at least one prompt row")
     d_prime = seq.tokens.shape[2]
-    prompts, keys = T.split(seq.tokens, [m, seq.seq_len - m], axis=1)
+    prompts = T.slice_axis(seq.tokens, 1, 0, m)
+    keys = T.slice_axis(seq.tokens, 1, m, seq.seq_len)
     return T.attention(prompts, keys, keys, 1.0 / np.sqrt(d_prime))
 
 
@@ -118,18 +118,6 @@ def adapter_branch(seq, params, prefix):
     p_prime = cavpt(compressed)
     rebuilt = reassemble(p_prime, compressed)
     return up_project_gate(rebuilt, params, prefix)
-
-
-def dvpt_block_forward(seq, params, block_prefix, adapter_prefix, cfg):
-    """Transformer block with the adapter branch parallel to the FFN:
-
-        mid = MHSA(LN(x)) + x
-        out = (FFN(LN(mid)) + mid) + gate * branch(mid)
-    """
-    mid = vit.attention_residual(seq, params, block_prefix, cfg)
-    plain = vit.ffn_residual(mid, params, block_prefix)
-    branch = adapter_branch(mid, params, adapter_prefix)
-    return plain.with_tokens(T.add(plain.tokens, branch.tokens))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ FLOAT_DTYPES = (np.float32, np.float64)
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+LAYERNORM_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -449,44 +450,26 @@ def slice_axis(a, axis, start, stop):
     return _emit(a.data[idx].copy(), (a,), bwd)
 
 
-def split(a, sizes, axis):
-    """Split along ``axis`` into consecutive chunks of the given sizes."""
-    if sum(sizes) != a.shape[axis]:
-        raise ShapeError(f"split sizes {sizes} do not cover axis {axis} of shape {a.shape}")
-    parts = []
-    start = 0
-    for size in sizes:
-        parts.append(slice_axis(a, axis, start, start + size))
-        start += size
-    return parts
-
-
 # ---------------------------------------------------------------------------
 # reductions and normalizers
 
-def tsum(a, axis=None, keepdims=False):
+def _reduction(a, axis, out_data, count):
+    """A sum (``count`` 1) or mean over ``axis`` (None: all), which it drops."""
     shape = a.shape
 
     def bwd(og):
-        if axis is None:
-            return (np.broadcast_to(og, shape).copy(),)
-        g = og if keepdims else np.expand_dims(og, axis)
-        return (np.broadcast_to(g, shape).copy(),)
+        g = og if axis is None else np.expand_dims(og, axis)
+        return (np.broadcast_to(g, shape) / count,)
 
-    return _emit(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+    return _emit(out_data, (a,), bwd)
 
 
-def tmean(a, axis=None, keepdims=False):
-    shape = a.shape
-    count = a.size if axis is None else shape[axis]
+def tsum(a, axis=None):
+    return _reduction(a, axis, a.data.sum(axis=axis), 1)
 
-    def bwd(og):
-        if axis is None:
-            return (np.broadcast_to(og, shape).copy() / count,)
-        g = og if keepdims else np.expand_dims(og, axis)
-        return (np.broadcast_to(g, shape).copy() / count,)
 
-    return _emit(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
+def tmean(a, axis=None):
+    return _reduction(a, axis, a.data.mean(axis=axis), a.size if axis is None else a.shape[axis])
 
 
 def _softmax_kernel(x, axis, out=None):
@@ -513,27 +496,23 @@ def softmax(a, axis):
     return _emit(out_data, (a,), bwd)
 
 
-def logsumexp(a, axis, keepdims=False):
+def logsumexp(a, axis):
+    """log(sum(exp(a))) over ``axis``, which the result keeps with size 1."""
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=axis, keepdims=True)
     out_data = np.log(s) + m
     soft = e / s
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
 
     def bwd(og):
-        g = og if keepdims else np.expand_dims(og, axis)
-        return (soft * g,)
+        return (soft * og,)
 
     return _emit(out_data, (a,), bwd)
 
 
-def layernorm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    ``eps`` is added inside the square root.
-    """
+def layernorm(x, gamma, beta):
+    """Normalize the last axis to zero mean / unit variance, then affine;
+    ``LAYERNORM_EPS`` is added inside the square root."""
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise ShapeError(
             f"layernorm feature dim mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
@@ -545,7 +524,7 @@ def layernorm(x, gamma, beta, eps=1e-5):
     xhat = x.data - mu
     squares = xhat * xhat
     var = squares.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat *= inv_std
     out_data = np.multiply(xhat, gamma.data, out=squares)
     out_data += beta.data

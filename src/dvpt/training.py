@@ -20,17 +20,25 @@ _HUGE_INPUT = ": the input data may hold huge or non-finite values"
 # numpy's errstate for the forward and backward of huge inputs: the finiteness
 # checks after those calls report an overflow as one typed error.
 _OVERFLOW_CHECKED = dict(over="ignore", invalid="ignore")
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator eps
+PREDICT_BATCH = 32  # images per untaped forward in predict and evaluate
+FD_STEP = 1e-5  # grad_check's central-difference perturbation
 
 
 # ---------------------------------------------------------------------------
 # losses
 
-def _one_hot(labels, num_classes, dtype):
+def _check_labels(labels, num_classes):
+    """``labels`` as an array; raises ContractError unless all lie in [0, K)."""
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ContractError(
-            f"labels outside [0, {num_classes}): range {labels.min()}..{labels.max()}"
-        )
+            f"labels outside [0, {num_classes}): range {labels.min()}..{labels.max()}")
+    return labels
+
+
+def _one_hot(labels, num_classes, dtype):
+    labels = _check_labels(labels, num_classes)
     out = np.zeros(labels.shape + (num_classes,), dtype=dtype)
     np.put_along_axis(out, labels[..., None], 1.0, axis=-1)
     return out
@@ -40,7 +48,7 @@ def cross_entropy(logits, labels):
     """Mean over the batch of -log softmax(logits)[label], via log-sum-exp."""
     num_classes = logits.shape[-1]
     onehot = Tensor(_one_hot(labels, num_classes, logits.dtype))
-    log_z = T.logsumexp(logits, axis=-1, keepdims=True)
+    log_z = T.logsumexp(logits, axis=-1)
     log_probs = T.add(logits, T.scale(log_z, -1.0))
     picked = T.tsum(T.mul(log_probs, onehot), axis=-1)
     return T.scale(T.tmean(picked), -1.0)
@@ -95,9 +103,6 @@ class OptimizerConfig:
 @dataclass
 class AdamState:
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -121,11 +126,11 @@ def adam_step(trainable, state):
             state.m[name] = m
             state.v[name] = np.zeros_like(param.data)
         v = state.v[name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        param.data = param.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m += (1.0 - ADAM_B1) * (g - m)
+        v += (1.0 - ADAM_B2) * (g * g - v)
+        m_hat = m / (1.0 - ADAM_B1 ** t)
+        v_hat = v / (1.0 - ADAM_B2 ** t)
+        param.data = param.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +239,27 @@ def batch_loss(model, images, labels):
     return hybrid_dice_ce(logits, grid)
 
 
-def predict(model, images, batch_size=32):
-    """Logits for a stack of images, computed without taping."""
+def predict(model, images):
+    """Logits for a stack of images, computed without taping,
+    ``PREDICT_BATCH`` images at a time."""
     outs = []
-    for start in range(0, len(images), batch_size):
-        x = Tensor(np.asarray(images[start:start + batch_size], dtype=model.dtype))
+    for start in range(0, len(images), PREDICT_BATCH):
+        x = Tensor(np.asarray(images[start:start + PREDICT_BATCH], dtype=model.dtype))
         outs.append(model.forward(x).data)
     return np.concatenate(outs, axis=0)
 
 
-def evaluate(model, images, labels, batch_size=32):
-    """MetricsReport on a dataset; order-independent by construction."""
+def evaluate(model, images, labels):
+    """MetricsReport on a dataset; order-independent by construction.
+    Raises ContractError on an empty dataset, a scored label (for a mask,
+    a patch-centre pixel) outside [0, K) or non-finite logits."""
     if len(images) == 0:
         raise ContractError("empty dataset")
+    if model.task == "segmentation":
+        labels = reduce_mask_to_grid(labels, model.cfg.patch_size)
+    labels = _check_labels(labels, model.cfg.num_classes)
     with np.errstate(**_OVERFLOW_CHECKED):
-        logits = predict(model, images, batch_size)
+        logits = predict(model, images)
     finite = np.isfinite(logits.reshape(len(logits), -1)).all(axis=1)
     if not finite.all():
         raise ContractError(
@@ -258,19 +269,18 @@ def evaluate(model, images, labels, batch_size=32):
         confusion = confusion_matrix(labels, preds, model.cfg.num_classes)
         return MetricsReport(model.task, accuracy=accuracy(confusion),
                              kappa=quadratic_weighted_kappa(confusion))
-    grid = reduce_mask_to_grid(labels, model.cfg.patch_size)
-    dice, iou = dice_iou(preds > 0, grid > 0)
+    dice, iou = dice_iou(preds > 0, labels > 0)
     return MetricsReport(model.task, dice=dice, iou=iou)
 
 
 # ---------------------------------------------------------------------------
 # gradient checking
 
-def grad_check(model, images, labels, samples=25, tol=1e-4, step=1e-5, seed=0):
+def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
     """Compare analytic gradients against central finite differences.
 
     Samples trainable scalars uniformly (frozen tensors are never
-    candidates), perturbs each by +-step and recomputes the loss with no
+    candidates), perturbs each by +-``FD_STEP`` and recomputes the loss with no
     tape alive: the analytic pass's tape is dropped once its backward has
     run.  Returns a dict with the max relative error and pass flag.
     Raises ContractError unless ``samples`` >= 1 and ``tol`` is positive
@@ -304,12 +314,12 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, step=1e-5, seed=0):
         local = int(flat - (offsets[tensor_idx - 1] if tensor_idx else 0))
         name, param = trainable[tensor_idx]
         original = param.data.ravel()[local]
-        param.data.ravel()[local] = original + step
+        param.data.ravel()[local] = original + FD_STEP
         up = batch_loss(model, images, labels).item()
-        param.data.ravel()[local] = original - step
+        param.data.ravel()[local] = original - FD_STEP
         down = batch_loss(model, images, labels).item()
         param.data.ravel()[local] = original
-        fd = (up - down) / (2.0 * step)
+        fd = (up - down) / (2.0 * FD_STEP)
         analytic = param.grad.ravel()[local]
         rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6)
         worst = max(worst, rel)
@@ -332,9 +342,11 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
     Returns a per-epoch history of loss (and metrics).  Raises
     ContractError naming the epoch and batch when a batch's loss is not
     finite (before it updates anything), or when a gradient is not finite
-    or too large to square (after its update).  Verifies at the end, by
-    comparison against a snapshot, that frozen tensors did not move.
+    or too large to square (after its update), and ConfigError on the
+    arguments ``OptimizerConfig.validate`` rejects.  Verifies at the end,
+    by comparison against a snapshot, that frozen tensors did not move.
     """
+    OptimizerConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed).validate()
     n = len(images)
     if n == 0:
         raise ContractError("empty dataset")

@@ -145,11 +145,6 @@ def ffn_residual(seq, params, prefix):
     return seq.with_tokens(T.add(ffn(normed, params, prefix).tokens, seq.tokens))
 
 
-def block_forward(seq, params, prefix, cfg):
-    """One plain pre-norm transformer block."""
-    return ffn_residual(attention_residual(seq, params, prefix, cfg), params, prefix)
-
-
 def classification_head(seq, params):
     """Pool the representation and project to class logits.
 

@@ -5,6 +5,7 @@ weight before a backbone is loaded over it."""
 import gc
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -154,6 +155,28 @@ def test_checkpoint_load_holds_one_copy_of_the_payload(tmp_path):
     loaded, peak = traced_peak(load_checkpoint, path)
     assert loaded["w"].tobytes() == tensors["w"].tobytes()
     assert peak <= payload + MIB, (peak / MIB, payload / MIB)
+
+
+def test_checkpoint_save_copies_none_of_the_payload(tmp_path):
+    rng = np.random.default_rng(9)
+    tensors = {"w": rng.normal(size=(1024, 1024)), "v": np.ones(1000, np.float32)}
+    path = tmp_path / "big.ckpt"
+    payload = sum(np.asarray(t).nbytes for t in tensors.values())
+    _, peak = traced_peak(lambda p: save_checkpoint(p, tensors), path)
+    assert peak <= payload / 8, (peak / MIB, payload / MIB)
+    assert load_checkpoint(path)["w"].tobytes() == tensors["w"].tobytes()
+
+
+def test_checkpoint_save_writes_the_documented_layout(tmp_path):
+    rng = np.random.default_rng(10)
+    tensors = {"b.gate": np.asarray(0.5, np.float32), "a.w": rng.normal(size=(3, 4)).T}
+    path = tmp_path / "small.ckpt"
+    save_checkpoint(path, tensors)
+    header = b"DVPT" + struct.pack("<II", 1, 2)
+    header += struct.pack("<H", 3) + b"a.w" + struct.pack("<B2IB", 2, 4, 3, 1)
+    header += struct.pack("<H", 6) + b"b.gate" + struct.pack("<BB", 0, 0)
+    payload = np.ascontiguousarray(tensors["a.w"]).tobytes() + tensors["b.gate"].tobytes()
+    assert path.read_bytes() == header + payload + struct.pack("<I", zlib.crc32(payload))
 
 
 def test_dataset_load_holds_one_copy_of_the_payload(tmp_path):

@@ -206,21 +206,33 @@ class TestAdapterBlock:
         x = Tensor(rng.normal(size=(1, 16, 16, 1)).astype(np.float32))
         assert np.array_equal(model.forward(x).data, model.forward(x).data)
 
-    def test_stage_by_stage_oracle(self, desk_cfg, desk_dvpt):
+    def test_stage_by_stage_oracle(self, desk_cfg, desk_dvpt, monkeypatch):
+        """``Model.forward``'s final token rows equal every block composed
+        stage by stage: plain block plus the gated adapter branch."""
         import dvpt.vit as vit
         model = Model(desk_cfg, desk_dvpt, seed=7, dtype=np.float64)
         params = model.params
         rng = np.random.default_rng(20)
-        seq = make_seq(rng, 1, 8, 16, 32)
-        out = peft.dvpt_block_forward(seq, params, "block0", "adapter0", desk_cfg)
-        mid = vit.attention_residual(seq, params, "block0", desk_cfg)
-        plain = vit.ffn_residual(mid, params, "block0")
-        branch = peft.up_project_gate(
-            peft.reassemble(peft.cavpt(peft.down_project(mid, params, "adapter0")),
-                            peft.down_project(mid, params, "adapter0")),
-            params, "adapter0")
-        np.testing.assert_allclose(out.tokens.data,
-                                   plain.tokens.data + branch.tokens.data, atol=1e-6)
+        images = Tensor(rng.normal(size=(1, 16, 16, 1)))
+        real_head, final = vit.classification_head, []
+
+        def head_spy(seq, params):
+            final.append(seq.tokens.data)
+            return real_head(seq, params)
+
+        monkeypatch.setattr(vit, "classification_head", head_spy)
+        model.forward(images)
+        seq = peft.append_prompts(vit.patch_embed(images, params, desk_cfg), params["prompts"])
+        for layer in range(desk_cfg.depth):
+            block, adapter = f"block{layer}", f"adapter{layer}"
+            mid = vit.attention_residual(seq, params, block, desk_cfg)
+            plain = vit.ffn_residual(mid, params, block)
+            branch = peft.up_project_gate(
+                peft.reassemble(peft.cavpt(peft.down_project(mid, params, adapter)),
+                                peft.down_project(mid, params, adapter)),
+                params, adapter)
+            seq = plain.with_tokens(Tensor(plain.tokens.data + branch.tokens.data))
+        np.testing.assert_allclose(final[0], seq.tokens.data, atol=1e-6)
 
 
 class TestSharing:
@@ -228,16 +240,16 @@ class TestSharing:
     def blocks_read(monkeypatch, cfg, share_every):
         """The adapter block index ``Model.forward`` hands each layer, in
         layer order."""
-        real = peft.dvpt_block_forward
+        real = peft.adapter_branch
         seen = []
 
-        def spy(seq, params, block_prefix, adapter_prefix, cfg):
-            seen.append(int(adapter_prefix.removeprefix("adapter")))
-            return real(seq, params, block_prefix, adapter_prefix, cfg)
+        def spy(seq, params, prefix):
+            seen.append(int(prefix.removeprefix("adapter")))
+            return real(seq, params, prefix)
 
         model = Model(cfg, DvptConfig(4, 4, share_every, 0.5), seed=0)
         with monkeypatch.context() as patch:
-            patch.setattr(peft, "dvpt_block_forward", spy)
+            patch.setattr(peft, "adapter_branch", spy)
             model.forward(Tensor(np.ones((1, 16, 16, 1), np.float32)))
         assert sum(name.endswith(".gate") for name in model.params) == len(set(seen))
         return seen

@@ -14,6 +14,7 @@ from dvpt.training import (AdamState, ContractError, MetricsReport, adam_step,
                            accuracy, confusion_matrix, cross_entropy, dice_iou,
                            grad_check, hybrid_dice_ce, quadratic_weighted_kappa,
                            train_loop)
+from dvpt.vit import ConfigError
 
 from conftest import finite_diff, rel_err
 
@@ -349,10 +350,42 @@ class TestTrainLoop:
 
     def test_evaluate_names_first_sample_with_non_finite_logits(self, desk_cfg, desk_dvpt):
         model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt")
-        images, labels = self._data(n=6)
-        images[4, 5, 7, 0] = 3e38  # finite, but it overflows float32 in the forward
-        with pytest.raises(ContractError, match=r"^non-finite logits for sample 4: "):
-            training.evaluate(model, images, labels, batch_size=4)
+        bad = training.PREDICT_BATCH + 4  # the fifth sample of the second batch
+        images, labels = self._data(n=bad + 2)
+        images[bad, 5, 7, 0] = 3e38  # finite, but it overflows float32 in the forward
+        with pytest.raises(ContractError, match=rf"^non-finite logits for sample {bad}: "):
+            training.evaluate(model, images, labels)
+
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    @pytest.mark.parametrize("bad_label", [-1, 5, 7])
+    def test_evaluate_rejects_a_label_outside_the_classes(self, desk_cfg, desk_dvpt,
+                                                          task, bad_label):
+        model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", task=task)
+        rng = np.random.default_rng(3)
+        images = rng.normal(size=(6, 16, 16, 1)).astype(np.float32)
+        if task == "classification":
+            labels = rng.integers(0, 5, size=6)
+            labels[2] = bad_label
+        else:  # a patch-centre pixel, which is what the metrics score
+            labels = rng.integers(0, 5, size=(6, 16, 16))
+            labels[2, 6, 10] = bad_label
+        with pytest.raises(ContractError, match=rf"^labels outside \[0, 5\): range "):
+            training.evaluate(model, images, labels)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(batch_size=0), dict(batch_size=-2), dict(lr=float("nan")), dict(lr=-1.0),
+        dict(lr=float("inf")), dict(seed=-1), dict(epochs=-1),
+    ], ids=["batch_size 0", "batch_size -2", "lr nan", "lr -1", "lr inf", "seed -1",
+            "epochs -1"])
+    def test_train_loop_rejects_what_optimizer_config_rejects(self, desk_cfg, desk_dvpt,
+                                                              kwargs):
+        model, policy = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=2)
+        snapshot = {n: t.data.copy() for n, t in model.params.items()}
+        images, labels = self._data(n=4)
+        args = dict(epochs=1, lr=0.01, batch_size=2, seed=0) | kwargs
+        with pytest.raises(ConfigError, match=r"^\[optimizer\] "):
+            train_loop(model, images, labels, policy, **args)
+        assert all(np.array_equal(t.data, snapshot[n]) for n, t in model.params.items())
 
     def test_descent_sanity_small_lr(self, desk_cfg, desk_dvpt):
         from dvpt.training import batch_loss

@@ -12,6 +12,11 @@ def make_params(cfg, seed=0, dtype=np.float64):
     return init_params(param_shapes(cfg), seed=seed, dtype=dtype)
 
 
+def block(seq, params, prefix, cfg):
+    """One plain pre-norm block, composed as ``Model.forward`` composes it."""
+    return vit.ffn_residual(vit.attention_residual(seq, params, prefix, cfg), params, prefix)
+
+
 def rand_seq(cfg, b, rng, dtype=np.float64, m=0):
     s = m + 1 + cfg.num_patches
     tokens = Tensor(rng.normal(size=(b, s, cfg.embed_dim)).astype(dtype))
@@ -30,6 +35,12 @@ class TestConfig:
 
     def test_patch_count(self, desk_cfg):
         assert desk_cfg.num_patches == 16
+
+    def test_token_layout_must_cover_the_sequence(self):
+        # cavpt and the heads slice rows at the layout's offsets
+        with pytest.raises(ConfigError, match=r"token layout mismatch: seq_len 6 != 2\+1\+4"):
+            vit.TokenSequence(Tensor(np.zeros((1, 6, 4))), num_prompts=2, has_cls=True,
+                              num_patches=4)
 
 
 class TestPatchEmbed:
@@ -117,7 +128,7 @@ class TestMhsa:
         seq = rand_seq(desk_cfg, 2, rng, m=3)
         for fn in (lambda s: vit.mhsa(s, params, "block1", desk_cfg),
                    lambda s: vit.ffn(s, params, "block1"),
-                   lambda s: vit.block_forward(s, params, "block1", desk_cfg)):
+                   lambda s: block(s, params, "block1", desk_cfg)):
             assert fn(seq).seq_len == seq.seq_len
 
 
@@ -158,7 +169,7 @@ class TestBlock:
                 t.data[:] = 0.0
         rng = np.random.default_rng(17)
         seq = rand_seq(desk_cfg, 2, rng)
-        out = vit.block_forward(seq, params, "block0", desk_cfg)
+        out = block(seq, params, "block0", desk_cfg)
         np.testing.assert_array_equal(out.tokens.data, seq.tokens.data)
 
     def test_matches_composed_stage_oracle(self, desk_cfg):
@@ -166,7 +177,7 @@ class TestBlock:
         params = make_params(desk_cfg, seed=9)
         x = rng.normal(size=(1, 3, 32))
         seq = vit.TokenSequence(Tensor(x), 0, True, 2)
-        out = vit.block_forward(seq, params, "block3", desk_cfg)
+        out = block(seq, params, "block3", desk_cfg)
         mid = vit.mhsa(seq.with_tokens(
             T.layernorm(seq.tokens, params["block3.ln1.gamma"], params["block3.ln1.beta"])),
             params, "block3", desk_cfg).tokens.data + x
