@@ -3,7 +3,7 @@
 Layout (little-endian throughout):
 
     magic "DVPT" | u32 version | u32 tensor count
-    per tensor: u16 name length | UTF-8 name | u8 rank | u32 dims...
+    per tensor: u16 name length | UTF-8 name | u8 rank (<= 64) | u32 dims...
                 | u8 dtype tag (0=float32, 1=float64)
     payload: scalars, contiguous row-major, in entry order
     trailer: u32 CRC32 of the payload
@@ -77,6 +77,8 @@ def load_checkpoint(path):
             if entries and name <= entries[-1][0]:
                 raise reader.error(f"tensor {name!r} out of order or duplicated")
             (rank,) = reader.unpack("B")
+            if rank > 64:  # numpy arrays hold at most 64 axes
+                raise reader.error(f"tensor {name!r} has rank {rank}, over 64")
             *shape, tag = reader.unpack(f"{rank}IB")
             if tag not in _TAG_DTYPES:
                 raise reader.error(f"unknown dtype tag {tag}")

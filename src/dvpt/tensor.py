@@ -48,8 +48,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_producer")
 
-    def __init__(self, data, requires_grad=False, name=None, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False, name=None):
+        arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float64 if arr.dtype == np.int64 else np.float32)
         self.data = arr

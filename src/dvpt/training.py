@@ -229,6 +229,22 @@ def reduce_mask_to_grid(masks, patch_size):
     return np.asarray(masks)[:, half::patch_size, half::patch_size]
 
 
+def _check_batch(model, images, labels):
+    """The batch contract of evaluate, train_loop and grad_check; returns the scored labels."""
+    cfg, shape, labels = model.cfg, np.shape(images), np.asarray(labels)
+    if shape[:1] == (0,):
+        raise ContractError("empty dataset")
+    geometry = (cfg.image_h, cfg.image_w, cfg.channels)
+    if shape[1:] != geometry:
+        raise ContractError(f"images shaped {shape}, not (n, H, W, C) with (H, W, C) = {geometry}")
+    want = shape[:1] if model.task == "classification" else shape[:3]
+    if labels.shape != want or not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"labels must be {want} integers, got {labels.dtype} {labels.shape}")
+    if model.task == "segmentation":  # scored at the patch-centre pixels
+        labels = reduce_mask_to_grid(labels, cfg.patch_size)
+    return _check_labels(labels, cfg.num_classes)
+
+
 def batch_loss(model, images, labels):
     """Forward + task loss as a Tensor (recordable on an active tape)."""
     x = Tensor(np.asarray(images, dtype=model.dtype))
@@ -250,14 +266,9 @@ def predict(model, images):
 
 
 def evaluate(model, images, labels):
-    """MetricsReport on a dataset; order-independent by construction.
-    Raises ContractError on an empty dataset, a scored label (for a mask,
-    a patch-centre pixel) outside [0, K) or non-finite logits."""
-    if len(images) == 0:
-        raise ContractError("empty dataset")
-    if model.task == "segmentation":
-        labels = reduce_mask_to_grid(labels, model.cfg.patch_size)
-    labels = _check_labels(labels, model.cfg.num_classes)
+    """MetricsReport on a dataset, order-independent by construction; raises
+    ContractError on a batch ``_check_batch`` rejects or on non-finite logits."""
+    labels = _check_batch(model, images, labels)
     with np.errstate(**_OVERFLOW_CHECKED):
         logits = predict(model, images)
     finite = np.isfinite(logits.reshape(len(logits), -1)).all(axis=1)
@@ -283,8 +294,8 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
     candidates), perturbs each by +-``FD_STEP`` and recomputes the loss with no
     tape alive: the analytic pass's tape is dropped once its backward has
     run.  Returns a dict with the max relative error and pass flag.
-    Raises ContractError unless ``samples`` >= 1 and ``tol`` is positive
-    and finite.
+    Raises ContractError unless ``samples`` >= 1, ``tol`` is positive and
+    finite and ``_check_batch`` accepts the batch.
     """
     if samples < 1:
         raise ContractError(f"grad_check samples must be >= 1, got {samples}")
@@ -292,8 +303,7 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
         raise ContractError(f"grad_check tol must be positive and finite, got {tol}")
     if model.dtype != np.float64:
         raise ContractError("grad_check requires a float64 model")
-    if len(images) == 0:
-        raise ContractError("empty dataset")
+    _check_batch(model, images, labels)
     model.zero_grad()
     with Tape() as tape:
         loss = batch_loss(model, images, labels)
@@ -335,21 +345,19 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
 
 def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
                seed=0, eval_metrics=True):
-    """Seeded mini-batch fine-tuning under a freeze policy.
+    """Seeded mini-batch fine-tuning.  ``policy`` is not read: the model's
+    ``requires_grad`` flags already hold the freeze policy.
 
-    Each step's tape is dropped as soon as its backward has run, so Adam
-    and ``evaluate`` run with none of that step's activations alive.
-    Returns a per-epoch history of loss (and metrics).  Raises
-    ContractError naming the epoch and batch when a batch's loss is not
-    finite (before it updates anything), or when a gradient is not finite
-    or too large to square (after its update), and ConfigError on the
-    arguments ``OptimizerConfig.validate`` rejects.  Verifies at the end,
-    by comparison against a snapshot, that frozen tensors did not move.
-    """
+    Each step's tape is dropped once its backward has run, so Adam and
+    ``evaluate`` run with none of that step's activations alive.  Returns a
+    per-epoch history of loss (and metrics).  Raises ContractError on a batch
+    ``_check_batch`` rejects (before any update) and, naming the epoch and
+    batch, on a non-finite loss (before its update) or a gradient not finite
+    or too large to square (after it); ConfigError on what
+    ``OptimizerConfig.validate`` rejects.  Checks at the end that no frozen
+    tensor moved."""
     OptimizerConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed).validate()
-    n = len(images)
-    if n == 0:
-        raise ContractError("empty dataset")
+    _check_batch(model, images, labels)
     frozen_snapshot = {
         name: t.data.copy() for name, t in model.params.items() if not t.requires_grad
     }
@@ -357,9 +365,9 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
     state = AdamState(lr=lr)
     history = []
     for epoch in range(epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(len(images))
         losses = []
-        for start in range(0, n, batch_size):
+        for start in range(0, len(images), batch_size):
             idx = order[start:start + batch_size]
             model.zero_grad()
             with np.errstate(**_OVERFLOW_CHECKED), Tape() as tape:

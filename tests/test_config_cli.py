@@ -290,14 +290,17 @@ class TestDatasetFitsModel:
         from dvpt.data import synth_generate
         cfg = dataset_config(tmp_path, synth_generate("classification", 4, seed=5, h=8, w=8))
         assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "(8, 8, 1)" in err
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: dataset images are (8, 8, 1) (H, W, C), "
+                                "[model] expects (16, 16, 1)\n") and not captured.out
 
     def test_channel_mismatch_exits_two(self, tmp_path, workspace, capsys):
         from dvpt.data import synth_generate
         cfg = dataset_config(tmp_path, synth_generate("classification", 4, seed=5, channels=3))
         assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
-        assert "(16, 16, 3)" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: dataset images are (16, 16, 3) (H, W, C), "
+                                "[model] expects (16, 16, 1)\n") and not captured.out
 
     def test_label_outside_num_classes_exits_two(self, tmp_path, workspace, capsys):
         from dvpt.data import Dataset, synth_generate
@@ -305,8 +308,9 @@ class TestDatasetFitsModel:
         ds = Dataset(ds.images, np.array([0, 8, 1, 2], dtype=np.uint16), ds.task, 9)
         cfg = dataset_config(tmp_path, ds)
         assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "label 8" in err
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: dataset label 8 outside [model] "
+                                "num_classes = 5\n") and not captured.out
 
     def test_empty_dataset_exits_two(self, tmp_path, workspace, capsys):
         from dvpt.data import Dataset

@@ -179,6 +179,20 @@ def test_checkpoint_save_writes_the_documented_layout(tmp_path):
     assert path.read_bytes() == header + payload + struct.pack("<I", zlib.crc32(payload))
 
 
+@pytest.mark.parametrize("rank", [64, 65, 255])
+def test_checkpoint_rank_numpy_cannot_hold_is_corrupt(tmp_path, rank):
+    # zero-length axes keep the payload empty, so only the rank can be wrong
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(b"DVPT" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                     + struct.pack(f"<B{rank}IB", rank, *[0] * rank, 0)
+                     + struct.pack("<I", zlib.crc32(b"")))
+    if rank == 64:
+        assert load_checkpoint(path)["w"].shape == (0,) * 64
+    else:
+        with pytest.raises(CorruptCheckpointError, match=f"tensor 'w' has rank {rank}, over 64$"):
+            load_checkpoint(path)
+
+
 def test_dataset_load_holds_one_copy_of_the_payload(tmp_path):
     rng = np.random.default_rng(8)
     ds = Dataset(rng.normal(size=(256, 32, 32, 8)).astype(np.float32),

@@ -1,9 +1,13 @@
+import dataclasses
 import gc
 import re
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dvpt import DvptConfig
 from dvpt import tensor as T
@@ -507,6 +511,102 @@ def test_train_loop_reports_a_frozen_tensor_that_changed(desk_cfg, desk_dvpt, mo
                        match=f"^frozen tensor {re.escape(repr(frozen))} changed during training$"):
         training.train_loop(model, images, labels, policy, epochs=2, batch_size=4,
                             eval_metrics=False, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the batch contract evaluate, train_loop and grad_check share
+
+def _run_entry(entry, cfg, dvpt, task, images, labels):
+    """Run ``entry`` on a fresh float64 dvpt model; its numbers as one array
+    (for train_loop, also every parameter after training)."""
+    model, policy = model_for_policy(cfg, dvpt, "dvpt", task=task, seed=0, dtype=np.float64)
+    if entry == "evaluate":
+        return np.array(list(training.evaluate(model, images, labels)._columns().values()))
+    if entry == "grad_check":
+        result = grad_check(model, images, labels, samples=2)
+        return np.array([result["max_rel_err"]] + [r[key] for r in result["samples"]
+                                                   for key in ("analytic", "finite_diff")])
+    history = train_loop(model, images, labels, policy, epochs=1, batch_size=2, seed=0)
+    numbers = [value for h in history for key, value in h.items() if key != "epoch"]
+    return np.concatenate([numbers] + [t.data.ravel() for t in model.params.values()])
+
+
+_TAKEN = r"empty dataset|labels outside \[0, \d+\)"
+
+_BROKEN_BATCHES = {  # name -> (model image H and W, images, labels)
+    "6 images, 5 labels": (16, np.zeros((6, 16, 16, 1)), np.arange(5) % 5),
+    "16x16 images on a 32x32 model": (32, np.zeros((6, 16, 16, 1)), np.arange(6) % 5),
+    "3-channel images on a 1-channel model": (16, np.zeros((6, 16, 16, 3)), np.arange(6) % 5),
+    "float labels": (16, np.zeros((6, 16, 16, 1)), np.arange(6) % 5 * 1.0),
+    "mask labels for classification": (16, np.zeros((6, 16, 16, 1)), np.zeros((6, 16, 16), int)),
+}
+
+
+@pytest.mark.parametrize("entry", ["evaluate", "train_loop", "grad_check"])
+@pytest.mark.parametrize("case", list(_BROKEN_BATCHES))
+def test_entry_points_reject_a_batch_that_breaks_the_contract(desk_cfg, desk_dvpt, case,
+                                                              entry):
+    size, images, labels = _BROKEN_BATCHES[case]
+    cfg = dataclasses.replace(desk_cfg, image_h=size, image_w=size)
+    with pytest.raises(ContractError) as caught:
+        _run_entry(entry, cfg, desk_dvpt, "classification", images, labels)
+    assert not re.match(_TAKEN, str(caught.value))
+
+
+def test_train_loop_rejects_a_label_in_a_later_batch_before_any_update(desk_cfg, desk_dvpt):
+    rng = np.random.default_rng(1)
+    images = rng.normal(size=(16, 16, 16, 1)).astype(np.float32)
+    labels = rng.integers(0, 5, size=16)
+    labels[-1] = 7  # seeds 0 and 1 put it in the second batch of eight
+    for seed in range(4):
+        model, policy = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=0)
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        with pytest.raises(ContractError, match=r"^labels outside \[0, 5\): range 0\.\.7$"):
+            train_loop(model, images, labels, policy, epochs=1, seed=seed)
+        assert all(np.array_equal(t.data, before[n]) for n, t in model.params.items()), seed
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_entry_points_give_a_finite_rerun_stable_result_or_a_contract_error(
+        desk_cfg, desk_dvpt, data):
+    draw = data.draw
+    entry = draw(st.sampled_from(["evaluate", "train_loop", "grad_check"]))
+    task = draw(st.sampled_from(["classification", "segmentation"]))
+    fault = draw(st.sampled_from(["none", "count", "geometry", "dtype", "rank", "range"]))
+    n = draw(st.integers(1, 3))
+    geometry, count = (16, 16, 1), n
+    dtype = draw(st.sampled_from([np.int64, np.uint16, np.int8]))
+    label_shape = {"classification": (), "segmentation": (16, 16)}[task]
+    if fault == "count":
+        count = draw(st.sampled_from([n - 1, n + 1]))
+    elif fault == "geometry":
+        geometry = draw(st.sampled_from([(8, 8, 1), (16, 8, 1), (32, 32, 1), (16, 16, 3)]))
+    elif fault == "dtype":
+        dtype = draw(st.sampled_from([np.float64, np.float32]))
+    elif fault == "rank":  # the other task's labels, or one axis too many
+        label_shape = draw(st.sampled_from([(16, 16) if task == "classification" else (),
+                                            label_shape + (1,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    images = rng.normal(size=(n,) + geometry)
+    labels = rng.integers(0, 5, size=(count,) + label_shape).astype(dtype)
+    valid = fault == "none"
+    if fault == "range":  # one label, or one mask pixel, outside [0, 5)
+        where = tuple(draw(st.integers(0, size - 1)) for size in labels.shape)
+        labels[where] = np.array(draw(st.sampled_from([-1, 5, 7]))).astype(dtype)
+        # a mask is scored at its patch-centre pixels only
+        valid = task == "segmentation" and not (where[1] % 4 == where[2] % 4 == 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            first = _run_entry(entry, desk_cfg, desk_dvpt, task, images, labels)
+        except ContractError:
+            assert not valid
+            return
+        assert valid
+        second = _run_entry(entry, desk_cfg, desk_dvpt, task, images, labels)
+    assert np.isfinite(first).all() and np.array_equal(first, second)
 
 
 class TestMetricsReport:
