@@ -13,9 +13,15 @@ produced the input, the input itself if it is a leaf that requires a
 gradient, or nothing.  A Tensor carries only a (tape serial, node index)
 tag for the node that produced it, so holding a Tensor keeps no graph
 alive.
+
+While a :class:`BufferPool` is entered, the large arrays the ops and
+``backward`` allocate come from it, so the steps of a training loop reuse
+one set of buffers.
 """
 
 import itertools
+import math
+import sys
 
 import numpy as np
 from scipy.special import erf
@@ -37,6 +43,8 @@ class GradError(RuntimeError):
 
 _TAPE_STACK = []
 _TAPE_SERIALS = itertools.count()
+_POOL_STACK = []
+POOLED_BYTES = 1 << 16  # _empty draws arrays of this many bytes or more from the pool
 
 
 class Tensor:
@@ -136,6 +144,86 @@ def active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def _refs_from_list():
+    buffers = [np.empty(0)]
+    return sys.getrefcount(buffers[-1])
+
+
+# What take's scan counts for a buffer nothing else refers to: the list and
+# the call's argument, measured rather than assumed.
+_FREE_REFS = _refs_from_list()
+
+
+class BufferPool:
+    """Uninitialised memory reused across training steps.
+
+    ``take`` returns an array viewing a buffer of exactly its byte size,
+    so arrays of different shapes and dtypes share buffers.  A buffer is
+    handed out again only once nothing but the pool refers to it: every
+    view of it, a taken array included, refers to it through ``.base``, so
+    a buffer a Tensor or a tape closure still reads is never overwritten,
+    and no caller has to hand anything back.  While entered, the pool
+    serves the large arrays of ``_empty``.
+    """
+
+    def __init__(self):
+        self._buffers = {}  # byte size -> buffers
+
+    def __enter__(self):
+        _POOL_STACK.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        popped = _POOL_STACK.pop()
+        assert popped is self
+        return False
+
+    def take(self, shape, dtype):
+        nbytes = math.prod(shape) * dtype.itemsize
+        buffers = self._buffers.setdefault(nbytes, [])
+        # Newest use first: the most recently taken free buffer is the one
+        # most likely still in cache.
+        for i in range(len(buffers) - 1, -1, -1):
+            if sys.getrefcount(buffers[i]) == _FREE_REFS:
+                buffer = buffers.pop(i)
+                break
+        else:
+            buffer = np.empty(nbytes, np.uint8)
+        buffers.append(buffer)
+        return buffer.view(dtype).reshape(shape)
+
+
+def _empty(shape, dtype):
+    """An uninitialised C-ordered array: from the active pool when there is
+    one and the array holds at least ``POOLED_BYTES``, else new."""
+    shape, dtype = tuple(shape), np.dtype(dtype)
+    if _POOL_STACK and math.prod(shape) * dtype.itemsize >= POOLED_BYTES:
+        return _POOL_STACK[-1].take(shape, dtype)
+    return np.empty(shape, dtype)
+
+
+def _pooled(ufunc, *operands):
+    """``ufunc(*operands)``, written into an array from ``_empty``."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in operands))
+    return ufunc(*operands, out=_empty(shape, np.result_type(*operands)))
+
+
+def _copy(array):
+    """A C-ordered copy of ``array`` in an array from ``_empty``."""
+    out = _empty(array.shape, array.dtype)
+    out[...] = array
+    return out
+
+
+def _reshape(array, shape):
+    """``array.reshape(shape)``: a view where numpy makes one, else the same
+    C-ordered copy, in an array from ``_empty``."""
+    try:
+        return array.reshape(shape, copy=False)
+    except ValueError:
+        return _copy(array).reshape(shape)
+
+
 def backward(loss, tape):
     """Accumulate d(loss)/d(tensor) into ``grad`` for every requires_grad
     leaf of ``loss`` on ``tape``.
@@ -158,7 +246,7 @@ def backward(loss, tape):
     def send(source, g):
         if isinstance(source, int):
             if source in flowing:
-                g = flowing[source] + g
+                g = _pooled(np.add, flowing[source], g)
             flowing[source] = g
         elif source is not None:
             key = id(source)
@@ -212,7 +300,7 @@ def add(a, b):
             _reduce_to_shape(og, b_shape) if need_b else None,
         )
 
-    return _emit(a.data + b.data, (a, b), bwd)
+    return _emit(_pooled(np.add, a.data, b.data), (a, b), bwd)
 
 
 def mul(a, b):
@@ -223,11 +311,11 @@ def mul(a, b):
 
     def bwd(og):
         return (
-            _reduce_to_shape(og * b_data, a_shape) if need_a else None,
-            _reduce_to_shape(og * a_data, b_shape) if need_b else None,
+            _reduce_to_shape(_pooled(np.multiply, og, b_data), a_shape) if need_a else None,
+            _reduce_to_shape(_pooled(np.multiply, og, a_data), b_shape) if need_b else None,
         )
 
-    return _emit(a.data * b.data, (a, b), bwd)
+    return _emit(_pooled(np.multiply, a.data, b.data), (a, b), bwd)
 
 
 def div(a, b):
@@ -243,7 +331,7 @@ def div(a, b):
             gb = _reduce_to_shape(-og * a_data / (b_data * b_data), b_shape)
         return (ga, gb)
 
-    return _emit(a.data / b.data, (a, b), bwd)
+    return _emit(_pooled(np.divide, a.data, b.data), (a, b), bwd)
 
 
 def scale(a, factor):
@@ -252,14 +340,14 @@ def scale(a, factor):
     def bwd(og):
         return (og * factor,)
 
-    return _emit(a.data * factor, (a,), bwd)
+    return _emit(_pooled(np.multiply, a.data, factor), (a,), bwd)
 
 
 def add_const(a, value):
     def bwd(og):
         return (og,)
 
-    return _emit(a.data + value, (a,), bwd)
+    return _emit(_pooled(np.add, a.data, value), (a,), bwd)
 
 
 def gelu(a):
@@ -267,28 +355,31 @@ def gelu(a):
 
     When the node will be recorded, the forward also computes the
     derivative Phi(x) + x * phi(x), and the node keeps only that; an
-    untaped forward computes no derivative.
+    untaped forward computes no derivative.  The output buffer holds
+    Phi(x) until the derivative has read it, then becomes Phi(x) * x.
     """
     x = a.data
-    # out= keeps 0-d results arrays: a plain ufunc call returns a numpy
+    # _pooled keeps 0-d results arrays: a plain ufunc call returns a numpy
     # scalar there, which the in-place steps cannot write into.
-    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    out = x * cdf
-    if not (a.requires_grad and active_tape() is not None):
+    out = _pooled(np.multiply, x, _INV_SQRT2)
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    taped = a.requires_grad and active_tape() is not None
+    if taped:
+        g = _pooled(np.multiply, x, -0.5)
+        g *= x
+        np.exp(g, out=g)
+        g *= _INV_SQRT_2PI
+        g *= x
+        g += out
+    out *= x
+    if not taped:
         return _emit(out, (a,), None)
-    g = np.multiply(x, -0.5, out=np.empty_like(x))
-    g *= x
-    np.exp(g, out=g)
-    g *= _INV_SQRT_2PI
-    g *= x
-    g += cdf
 
     def bwd(og):
         # og may be wider than x (a float64 consumer), so not in place.
-        return (og * g,)
+        return (_pooled(np.multiply, og, g),)
 
     return _emit(out, (a,), bwd)
 
@@ -307,6 +398,12 @@ def _check_matmul(a, b):
         raise ShapeError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
 
 
+def _product(a, b):
+    """The array ``a @ b``, written into an array from ``_empty``."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    return np.matmul(a, b, out=_empty(shape, np.result_type(a, b)))
+
+
 def _matmul_rule(a, b, need_a, need_b):
     """The matmul rule for arrays ``a @ b``: a function from the product's
     gradient to (a's gradient, b's gradient), None where not needed.  It
@@ -318,9 +415,13 @@ def _matmul_rule(a, b, need_a, need_b):
     def grads(og):
         ga = gb = None
         if need_a:
-            ga = _reduce_to_shape(np.matmul(og, np.swapaxes(b, -1, -2)), a_shape)
+            ga = _reduce_to_shape(_product(og, np.swapaxes(b, -1, -2)), a_shape)
         if need_b:
-            gb = _reduce_to_shape(np.matmul(np.swapaxes(a, -1, -2), og), b_shape)
+            at = np.swapaxes(a, -1, -2)
+            if og.shape[:-2] == b_shape[:-2]:
+                gb = _product(at, og)
+            else:  # summed over the batch at once: a pool buffer would sit idle
+                gb = _reduce_to_shape(np.matmul(at, og), b_shape)
         return ga, gb
 
     return grads
@@ -329,7 +430,7 @@ def _matmul_rule(a, b, need_a, need_b):
 def matmul(a, b):
     _check_matmul(a, b)
     bwd = _matmul_rule(a.data, b.data, a.requires_grad, b.requires_grad)
-    return _emit(np.matmul(a.data, b.data), (a, b), bwd)
+    return _emit(_product(a.data, b.data), (a, b), bwd)
 
 
 def linear(x, weight, bias):
@@ -340,7 +441,7 @@ def linear(x, weight, bias):
     product.  ``matmul`` is the bias-free product.
     """
     _check_matmul(x, weight)
-    out = np.matmul(x.data, weight.data)
+    out = _product(x.data, weight.data)
     if bias.shape != out.shape[-1:] or bias.dtype != out.dtype:
         raise ShapeError(
             f"linear bias must be 1-D {out.shape[-1:]} {out.dtype}, "
@@ -365,7 +466,7 @@ def attention(q, k, v, factor):
     factor = float(factor)
     kt = np.swapaxes(k.data, -1, -2)
     _check_matmul(q, kt)
-    weights = np.matmul(q.data, kt)
+    weights = _product(q.data, kt)
     _check_matmul(weights, v)
     weights *= factor
     _softmax_kernel(weights, -1, out=weights)
@@ -384,7 +485,7 @@ def attention(q, k, v, factor):
                 gk = np.swapaxes(gkt, -1, -2)
         return (gq, gk, gv)
 
-    return _emit(np.matmul(weights, v.data), (q, k, v), bwd)
+    return _emit(_product(weights, v.data), (q, k, v), bwd)
 
 
 def transpose(a, axes):
@@ -402,9 +503,9 @@ def reshape(a, shape):
     old = a.shape
 
     def bwd(og):
-        return (og.reshape(old),)
+        return (_reshape(og, old),)
 
-    return _emit(a.data.reshape(shape), (a,), bwd)
+    return _emit(_reshape(a.data, shape), (a,), bwd)
 
 
 def broadcast_to(a, shape):
@@ -414,7 +515,7 @@ def broadcast_to(a, shape):
     def bwd(og):
         return (_reduce_to_shape(og, old),)
 
-    return _emit(np.broadcast_to(a.data, shape).copy(), (a,), bwd)
+    return _emit(_copy(np.broadcast_to(a.data, shape)), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +534,11 @@ def concat(tensors, axis):
             pieces.append(og[tuple(idx)] if need else None)
         return tuple(pieces)
 
-    return _emit(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
+    arrays = [t.data for t in tensors]
+    shape = list(arrays[0].shape)
+    shape[axis] = int(offsets[-1])
+    out = _empty(shape, np.result_type(*arrays))
+    return _emit(np.concatenate(arrays, axis=axis, out=out), tensors, bwd)
 
 
 def slice_axis(a, axis, start, stop):
@@ -443,11 +548,12 @@ def slice_axis(a, axis, start, stop):
     shape, dtype = a.shape, a.dtype
 
     def bwd(og):
-        full = np.zeros(shape, dtype)
+        full = _empty(shape, dtype)
+        full.fill(0)
         full[idx] = og
         return (full,)
 
-    return _emit(a.data[idx].copy(), (a,), bwd)
+    return _emit(_copy(a.data[idx]), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +589,10 @@ def _softmax_kernel(x, axis, out=None):
 
 def _softmax_grad(og, out, axis):
     """The softmax rule, given the softmax output ``out``."""
-    dot = (og * out).sum(axis=axis, keepdims=True)
-    return out * (og - dot)
+    dot = _pooled(np.multiply, og, out).sum(axis=axis, keepdims=True)
+    g = _pooled(np.subtract, og, dot)
+    g *= out
+    return g
 
 
 def softmax(a, axis):
@@ -521,8 +629,8 @@ def layernorm(x, gamma, beta):
         raise ShapeError(
             f"layernorm dtype mismatch: x {x.dtype}, gamma {gamma.dtype}, beta {beta.dtype}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
-    squares = xhat * xhat
+    xhat = _pooled(np.subtract, x.data, mu)
+    squares = _pooled(np.multiply, xhat, xhat)
     var = squares.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat *= inv_std
@@ -537,9 +645,9 @@ def layernorm(x, gamma, beta):
     def bwd(og):
         dx = dgamma = dbeta = None
         if need_x:
-            dxhat = og * kept_gamma
-            dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
-            proj = dxhat * kept_xhat
+            dxhat = _pooled(np.multiply, og, kept_gamma)
+            dx = _pooled(np.subtract, dxhat, dxhat.mean(axis=-1, keepdims=True))
+            proj = _pooled(np.multiply, dxhat, kept_xhat)
             np.multiply(kept_xhat, proj.mean(axis=-1, keepdims=True), out=proj)
             dx -= proj
             dx *= kept_inv_std

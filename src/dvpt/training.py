@@ -29,8 +29,11 @@ FD_STEP = 1e-5  # grad_check's central-difference perturbation
 # losses
 
 def _check_labels(labels, num_classes):
-    """``labels`` as an array; raises ContractError unless all lie in [0, K)."""
+    """``labels`` as an array; raises ContractError unless they are integers
+    that all lie in [0, K)."""
     labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"labels must be integers, got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ContractError(
             f"labels outside [0, {num_classes}): range {labels.min()}..{labels.max()}")
@@ -229,14 +232,21 @@ def reduce_mask_to_grid(masks, patch_size):
     return np.asarray(masks)[:, half::patch_size, half::patch_size]
 
 
-def _check_batch(model, images, labels):
-    """The batch contract of evaluate, train_loop and grad_check; returns the scored labels."""
-    cfg, shape, labels = model.cfg, np.shape(images), np.asarray(labels)
+def _check_images(model, images):
+    """The image half of the batch contract, from shapes alone: a non-empty
+    (n, H, W, C) stack of the model's geometry.  Returns its shape."""
+    cfg, shape = model.cfg, np.shape(images)
     if shape[:1] == (0,):
         raise ContractError("empty dataset")
     geometry = (cfg.image_h, cfg.image_w, cfg.channels)
     if shape[1:] != geometry:
         raise ContractError(f"images shaped {shape}, not (n, H, W, C) with (H, W, C) = {geometry}")
+    return shape
+
+
+def _check_batch(model, images, labels):
+    """The batch contract of evaluate, train_loop and grad_check; returns the scored labels."""
+    shape, labels, cfg = _check_images(model, images), np.asarray(labels), model.cfg
     want = shape[:1] if model.task == "classification" else shape[:3]
     if labels.shape != want or not np.issubdtype(labels.dtype, np.integer):
         raise ContractError(f"labels must be {want} integers, got {labels.dtype} {labels.shape}")
@@ -246,7 +256,9 @@ def _check_batch(model, images, labels):
 
 
 def batch_loss(model, images, labels):
-    """Forward + task loss as a Tensor (recordable on an active tape)."""
+    """Forward + task loss as a Tensor (recordable on an active tape).
+    Raises ContractError on images ``_check_images`` rejects."""
+    _check_images(model, images)
     x = Tensor(np.asarray(images, dtype=model.dtype))
     logits = model.forward(x)
     if model.task == "classification":
@@ -257,7 +269,9 @@ def batch_loss(model, images, labels):
 
 def predict(model, images):
     """Logits for a stack of images, computed without taping,
-    ``PREDICT_BATCH`` images at a time."""
+    ``PREDICT_BATCH`` images at a time.  Raises ContractError on images
+    ``_check_images`` rejects."""
+    _check_images(model, images)
     outs = []
     for start in range(0, len(images), PREDICT_BATCH):
         x = Tensor(np.asarray(images[start:start + PREDICT_BATCH], dtype=model.dtype))
@@ -357,6 +371,7 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
     ``OptimizerConfig.validate`` rejects.  Checks at the end that no frozen
     tensor moved."""
     OptimizerConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed).validate()
+    images, labels = np.asarray(images), np.asarray(labels)  # batches index both
     _check_batch(model, images, labels)
     frozen_snapshot = {
         name: t.data.copy() for name, t in model.params.items() if not t.requires_grad
@@ -367,29 +382,33 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
     for epoch in range(epochs):
         order = rng.permutation(len(images))
         losses = []
-        for start in range(0, len(images), batch_size):
-            idx = order[start:start + batch_size]
-            model.zero_grad()
-            with np.errstate(**_OVERFLOW_CHECKED), Tape() as tape:
-                loss = batch_loss(model, images[idx], labels[idx])
-            where = f"at epoch {epoch}, batch {start // batch_size}"
-            if not np.isfinite(loss.item()):
-                raise ContractError(f"non-finite loss {loss.item()} {where}{_HUGE_INPUT}")
-            trainable = model.trainable()
-            with np.errstate(**_OVERFLOW_CHECKED):
-                backward(loss, tape)
-                del tape  # frees the step's activations before Adam and evaluate
-                adam_step(trainable, state)
-            # The second moment (running mean of squared gradients) is the
-            # first state to go non-finite, from a gradient that is NaN, inf
-            # or too large to square; while it stays finite, each Adam
-            # update is bounded by a multiple of lr.
-            for name, _ in trainable:
-                if not np.isfinite(state.v[name]).all():
-                    raise ContractError(
-                        f"gradient of {name!r} {where} is not finite or too large to "
-                        f"square{_HUGE_INPUT}")
-            losses.append(loss.item())
+        # The epoch's steps draw their large forward arrays from one pool,
+        # so from the second step on they allocate none.  Leaving the block
+        # drops the pool before evaluate.
+        with T.BufferPool():
+            for start in range(0, len(images), batch_size):
+                idx = order[start:start + batch_size]
+                model.zero_grad()
+                with np.errstate(**_OVERFLOW_CHECKED), Tape() as tape:
+                    loss = batch_loss(model, images[idx], labels[idx])
+                where = f"at epoch {epoch}, batch {start // batch_size}"
+                if not np.isfinite(loss.item()):
+                    raise ContractError(f"non-finite loss {loss.item()} {where}{_HUGE_INPUT}")
+                trainable = model.trainable()
+                with np.errstate(**_OVERFLOW_CHECKED):
+                    backward(loss, tape)
+                    del tape  # frees the step's activations before Adam and evaluate
+                    adam_step(trainable, state)
+                # The second moment (running mean of squared gradients) is the
+                # first state to go non-finite, from a gradient that is NaN,
+                # inf or too large to square; while it stays finite, each Adam
+                # update is bounded by a multiple of lr.
+                for name, _ in trainable:
+                    if not np.isfinite(state.v[name]).all():
+                        raise ContractError(
+                            f"gradient of {name!r} {where} is not finite or too large to "
+                            f"square{_HUGE_INPUT}")
+                losses.append(loss.item())
         entry = {"epoch": epoch, "loss": float(np.mean(losses))}
         if eval_metrics:
             entry.update(evaluate(model, images, labels)._columns())

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import gc
 import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -496,6 +498,38 @@ def test_train_loop_drops_each_tape_before_adam_and_evaluate(desk_cfg, desk_dvpt
     assert at_adam == [0] * 4 and at_evaluate == [0] * 2
 
 
+@pytest.mark.parametrize("policy", ["dvpt", "full_finetune"])
+def test_second_step_of_an_epoch_allocates_no_large_block_in_its_forward(
+        desk_cfg, desk_dvpt, policy, monkeypatch):
+    # float64 at batch 16 puts the block's activations above POOLED_BYTES
+    model, freeze = model_for_policy(desk_cfg, desk_dvpt, policy, seed=0, dtype=np.float64)
+    rng = np.random.default_rng(6)
+    images, labels = rng.normal(size=(32, 16, 16, 1)), rng.integers(0, 5, size=32)
+    original, steps, new_blocks = training.batch_loss, [], []
+
+    def large_blocks():
+        return collections.Counter((t.domain, t.size, t.traceback)
+                                   for t in tracemalloc.take_snapshot().traces
+                                   if t.size >= T.POOLED_BYTES)
+
+    def watched(*args, **kwargs):
+        steps.append(None)
+        if len(steps) % 2:  # the first of an epoch's two steps fills the pool
+            return original(*args, **kwargs)
+        before = large_blocks()
+        loss = original(*args, **kwargs)
+        new_blocks.append(sorted(size for (_, size, _) in large_blocks() - before))
+        return loss
+
+    monkeypatch.setattr(training, "batch_loss", watched)
+    tracemalloc.start()
+    try:
+        train_loop(model, images, labels, freeze, epochs=2, batch_size=16, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert new_blocks == [[], []]
+
+
 def test_train_loop_reports_a_frozen_tensor_that_changed(desk_cfg, desk_dvpt, monkeypatch):
     model, policy, images, labels, _ = _desk_batches_of_four(desk_cfg, desk_dvpt)
     frozen = next(name for name, t in model.params.items() if not t.requires_grad)
@@ -518,8 +552,17 @@ def test_train_loop_reports_a_frozen_tensor_that_changed(desk_cfg, desk_dvpt, mo
 
 def _run_entry(entry, cfg, dvpt, task, images, labels):
     """Run ``entry`` on a fresh float64 dvpt model; its numbers as one array
-    (for train_loop, also every parameter after training)."""
+    (for train_loop, also every parameter after training).  ``loss`` is the
+    task's loss on fixed logits, with no model."""
+    if entry == "loss":
+        logits = np.linspace(-2.0, 2.0, np.size(labels) * cfg.num_classes)
+        loss = cross_entropy if task == "classification" else hybrid_dice_ce
+        return loss(Tensor(logits.reshape(np.shape(labels) + (cfg.num_classes,))), labels).data
     model, policy = model_for_policy(cfg, dvpt, "dvpt", task=task, seed=0, dtype=np.float64)
+    if entry == "predict":
+        return training.predict(model, images)
+    if entry == "batch_loss":
+        return training.batch_loss(model, images, labels).data
     if entry == "evaluate":
         return np.array(list(training.evaluate(model, images, labels)._columns().values()))
     if entry == "grad_check":
@@ -540,6 +583,17 @@ _BROKEN_BATCHES = {  # name -> (model image H and W, images, labels)
     "float labels": (16, np.zeros((6, 16, 16, 1)), np.arange(6) % 5 * 1.0),
     "mask labels for classification": (16, np.zeros((6, 16, 16, 1)), np.zeros((6, 16, 16), int)),
 }
+
+
+@pytest.mark.parametrize("entry", ["predict", "batch_loss"])
+@pytest.mark.parametrize("images", [np.zeros((2, 8, 8, 1)), np.zeros((0, 16, 16, 1)),
+                                    np.zeros((2, 16, 16, 3))],
+                         ids=["8x8 images", "no images", "3-channel images"])
+def test_predict_and_batch_loss_reject_images_the_model_cannot_read(desk_cfg, desk_dvpt,
+                                                                    images, entry):
+    labels = np.zeros(len(images), int)
+    with pytest.raises(ContractError, match=r"^(empty dataset|images shaped)"):
+        _run_entry(entry, desk_cfg, desk_dvpt, "classification", images, labels)
 
 
 @pytest.mark.parametrize("entry", ["evaluate", "train_loop", "grad_check"])
@@ -572,10 +626,17 @@ def test_train_loop_rejects_a_label_in_a_later_batch_before_any_update(desk_cfg,
 def test_entry_points_give_a_finite_rerun_stable_result_or_a_contract_error(
         desk_cfg, desk_dvpt, data):
     draw = data.draw
-    entry = draw(st.sampled_from(["evaluate", "train_loop", "grad_check"]))
+    entry = draw(st.sampled_from(["evaluate", "train_loop", "grad_check", "predict",
+                                  "batch_loss", "loss"]))
     task = draw(st.sampled_from(["classification", "segmentation"]))
-    fault = draw(st.sampled_from(["none", "count", "geometry", "dtype", "rank", "range"]))
-    n = draw(st.integers(1, 3))
+    # predict and batch_loss check only the images (batch_loss's loss checks
+    # the labels' values), and the loss only the labels
+    fault = draw(st.sampled_from({
+        "predict": ["none", "geometry", "empty"],
+        "batch_loss": ["none", "geometry", "empty", "dtype", "range"],
+        "loss": ["none", "dtype", "range"],
+    }.get(entry, ["none", "count", "geometry", "dtype", "rank", "range"])))
+    n = 0 if fault == "empty" else draw(st.integers(1, 3))
     geometry, count = (16, 16, 1), n
     dtype = draw(st.sampled_from([np.int64, np.uint16, np.int8]))
     label_shape = {"classification": (), "segmentation": (16, 16)}[task]
@@ -595,8 +656,11 @@ def test_entry_points_give_a_finite_rerun_stable_result_or_a_contract_error(
     if fault == "range":  # one label, or one mask pixel, outside [0, 5)
         where = tuple(draw(st.integers(0, size - 1)) for size in labels.shape)
         labels[where] = np.array(draw(st.sampled_from([-1, 5, 7]))).astype(dtype)
-        # a mask is scored at its patch-centre pixels only
-        valid = task == "segmentation" and not (where[1] % 4 == where[2] % 4 == 2)
+        # a mask is scored at its patch-centre pixels only, except by the loss
+        valid = (task == "segmentation" and entry != "loss"
+                 and not (where[1] % 4 == where[2] % 4 == 2))
+    if draw(st.booleans()):
+        images = list(images)  # the entry points take a Python list of images too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
