@@ -399,7 +399,13 @@ def _check_matmul(a, b):
 
 
 def _product(a, b):
-    """The array ``a @ b``, written into an array from ``_empty``."""
+    """The array ``a @ b``, written into an array from ``_empty``.  With a
+    2-D ``b``, all of ``a``'s rows go through one gemm as one matrix, where
+    a batched matmul would call BLAS once per matrix of the batch."""
+    if b.ndim == 2:
+        rows = _reshape(a, (-1, a.shape[-1]))
+        out = np.matmul(rows, b, out=_empty((len(rows), b.shape[1]), np.result_type(a, b)))
+        return out.reshape(a.shape[:-1] + b.shape[1:])
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
     return np.matmul(a, b, out=_empty(shape, np.result_type(a, b)))
 
