@@ -263,7 +263,8 @@ def backward(loss, tape):
         for source, g in zip(node.sources, node.backward_fn(og)):
             if g is not None:
                 send(source, g)
-    for leaf, g in leaves.values():
+    for key in list(leaves):
+        leaf, g = leaves.pop(key)  # each gradient goes once it is added
         if leaf.grad is None:
             leaf.grad = np.zeros_like(leaf.data)
         leaf.grad += g
