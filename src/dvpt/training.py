@@ -2,6 +2,7 @@
 gradient checker and the training loop.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,12 @@ _OVERFLOW_CHECKED = dict(over="ignore", invalid="ignore")
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator eps
 PREDICT_BATCH = 32  # images per untaped forward in predict and evaluate
 FD_STEP = 1e-5  # grad_check's central-difference perturbation
+# glibc heap settings for train_loop: arrays below HEAP_MMAP_THRESHOLD come
+# from the heap rather than from fresh mappings, and the heap keeps up to
+# HEAP_TRIM_THRESHOLD of free memory at its top instead of handing it back.
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 1 << 30
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +364,20 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
 # training loop
 
 
+def _pin_heap():
+    """Pin glibc's heap to ``HEAP_MMAP_THRESHOLD`` and ``HEAP_TRIM_THRESHOLD``
+    for the rest of the process, so each step reuses the pages the step
+    before it freed rather than faulting new ones in.  Returns False, and
+    changes nothing, where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+    return True
+
+
 def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
                seed=0, eval_metrics=True):
     """Seeded mini-batch fine-tuning.  ``policy`` is not read: the model's
@@ -369,46 +390,43 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
     batch, on a non-finite loss (before its update) or a gradient not finite
     or too large to square (after it); ConfigError on what
     ``OptimizerConfig.validate`` rejects.  Checks at the end that no frozen
-    tensor moved."""
+    tensor moved.  Pins the process's heap with ``_pin_heap``."""
     OptimizerConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed).validate()
     images, labels = np.asarray(images), np.asarray(labels)  # batches index both
     _check_batch(model, images, labels)
     frozen_snapshot = {
         name: t.data.copy() for name, t in model.params.items() if not t.requires_grad
     }
+    _pin_heap()
     rng = np.random.default_rng(seed)
     state = AdamState(lr=lr)
     history = []
     for epoch in range(epochs):
         order = rng.permutation(len(images))
         losses = []
-        # The epoch's steps draw their large forward arrays from one pool,
-        # so from the second step on they allocate none.  Leaving the block
-        # drops the pool before evaluate.
-        with T.BufferPool():
-            for start in range(0, len(images), batch_size):
-                idx = order[start:start + batch_size]
-                model.zero_grad()
-                with np.errstate(**_OVERFLOW_CHECKED), Tape() as tape:
-                    loss = batch_loss(model, images[idx], labels[idx])
-                where = f"at epoch {epoch}, batch {start // batch_size}"
-                if not np.isfinite(loss.item()):
-                    raise ContractError(f"non-finite loss {loss.item()} {where}{_HUGE_INPUT}")
-                trainable = model.trainable()
-                with np.errstate(**_OVERFLOW_CHECKED):
-                    backward(loss, tape)
-                    del tape  # frees the step's activations before Adam and evaluate
-                    adam_step(trainable, state)
-                # The second moment (running mean of squared gradients) is the
-                # first state to go non-finite, from a gradient that is NaN,
-                # inf or too large to square; while it stays finite, each Adam
-                # update is bounded by a multiple of lr.
-                for name, _ in trainable:
-                    if not np.isfinite(state.v[name]).all():
-                        raise ContractError(
-                            f"gradient of {name!r} {where} is not finite or too large to "
-                            f"square{_HUGE_INPUT}")
-                losses.append(loss.item())
+        for start in range(0, len(images), batch_size):
+            idx = order[start:start + batch_size]
+            model.zero_grad()
+            with np.errstate(**_OVERFLOW_CHECKED), Tape() as tape:
+                loss = batch_loss(model, images[idx], labels[idx])
+            where = f"at epoch {epoch}, batch {start // batch_size}"
+            if not np.isfinite(loss.item()):
+                raise ContractError(f"non-finite loss {loss.item()} {where}{_HUGE_INPUT}")
+            trainable = model.trainable()
+            with np.errstate(**_OVERFLOW_CHECKED):
+                backward(loss, tape)
+                del tape  # frees the step's activations before Adam and evaluate
+                adam_step(trainable, state)
+            # The second moment (running mean of squared gradients) is the
+            # first state to go non-finite, from a gradient that is NaN, inf
+            # or too large to square; while it stays finite, each Adam
+            # update is bounded by a multiple of lr.
+            for name, _ in trainable:
+                if not np.isfinite(state.v[name]).all():
+                    raise ContractError(
+                        f"gradient of {name!r} {where} is not finite or too large to "
+                        f"square{_HUGE_INPUT}")
+            losses.append(loss.item())
         entry = {"epoch": epoch, "loss": float(np.mean(losses))}
         if eval_metrics:
             entry.update(evaluate(model, images, labels)._columns())

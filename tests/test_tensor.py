@@ -715,56 +715,3 @@ def test_taped_forward_retains_only_what_backward_reads(policy, limit_mib):
     assert len(tape) > 0 and loss.size == 1
     assert retained <= limit_mib * (1 << 20), retained / (1 << 20)
 
-
-# ---------------------------------------------------------------------------
-# the step buffer pool
-
-_BIG = (64, 256)  # 128 KiB of float64, above POOLED_BYTES
-
-
-def test_pool_reuses_a_buffer_only_once_nothing_else_refers_to_it():
-    with T.BufferPool():
-        first = T._empty(_BIG, np.float64)
-        buffer_id = id(first.base)  # the pool keeps the buffer, so its id stays
-        view = first[1:, ::2]
-        del first
-        second = T._empty(_BIG, np.float64)
-        assert not np.shares_memory(second, view)  # the view keeps the buffer in use
-        del view
-        third = T._empty((32, 1024), np.float32)  # the same bytes, another shape and dtype
-        assert id(third.base) == buffer_id
-
-
-def test_pool_serves_only_large_arrays_and_only_while_entered():
-    pool = T.BufferPool()
-    assert T._empty(_BIG, np.float64).flags.owndata  # no pool entered
-    with pool:
-        assert T._empty((8, 8), np.float64).flags.owndata  # below POOLED_BYTES
-        taken = T._empty(_BIG, np.float64)
-        assert not taken.flags.owndata and taken.base.nbytes == taken.nbytes
-    assert T._empty(_BIG, np.float64).flags.owndata
-
-
-@pytest.mark.parametrize("hold", ["output", "view"])
-def test_held_forward_output_survives_later_steps_in_the_pool(hold):
-    rng = np.random.default_rng(41)
-    w = Tensor(rng.normal(size=(256, 256)), requires_grad=True)
-    b = Tensor(np.zeros(256), requires_grad=True)
-
-    def step():
-        x = Tensor(rng.normal(size=(4, 32, 256)))
-        with Tape() as tape:
-            hidden = T.gelu(T.linear(x, w, b))
-            loss = T.tsum(T.linear(hidden, w, b))
-        backward(loss, tape)
-        return hidden.data
-
-    with T.BufferPool():
-        held = step()
-        if hold == "view":
-            held = held[1:, ::3]
-        expected = held.copy()
-        for _ in range(3):
-            later = step()
-            assert not np.shares_memory(later, held)
-        assert np.array_equal(held, expected)
