@@ -371,7 +371,7 @@ def _pin_heap():
     changes nothing, where the C library has no ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
+    except (AttributeError, TypeError):  # no mallopt; CDLL(None) is a TypeError on Windows
         return False
     mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)

@@ -536,7 +536,8 @@ print(json.dumps({{"pinned": training._pin_heap(), "faults": faults}}))
 
 @pytest.mark.parametrize("policy", ["dvpt", "full_finetune"])
 def test_steps_after_the_first_epoch_fault_almost_no_pages(desk_cfg, desk_dvpt, policy):
-    # float64 at batch 16 puts the block's activations above 64 KiB
+    # float64 at batch 16 makes the FFN's hidden activations (~270 KB) larger
+    # than glibc's default mmap threshold (128 KiB)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     code = _STEP_FAULTS.format(cfg=desk_cfg, dvpt=desk_dvpt, policy=policy)
