@@ -551,6 +551,60 @@ def test_steps_after_the_first_epoch_fault_almost_no_pages(desk_cfg, desk_dvpt, 
     assert max(report["faults"][2:]) <= 128, report["faults"]
 
 
+class _Libc:
+    """Stands in for ``ctypes.CDLL(None)``; records each ``mallopt`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_pin_heap_sets_glibcs_mmap_and_trim_thresholds(monkeypatch):
+    libc = _Libc()
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: libc)
+    assert training._pin_heap() is True
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 in glibc's malloc.h
+    assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+    assert (training.HEAP_MMAP_THRESHOLD, training.HEAP_TRIM_THRESHOLD) == (32 << 20, 1 << 30)
+
+
+def _no_mallopt(name):
+    return object()  # a C library without mallopt: AttributeError
+
+
+def _no_process_library(name):
+    raise TypeError("CDLL(None) is not supported")  # as on Windows
+
+
+@pytest.mark.parametrize("cdll", [_no_mallopt, _no_process_library],
+                         ids=["no_mallopt", "no_process_library"])
+def test_pin_heap_changes_nothing_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+    assert training._pin_heap() is False
+
+
+@pytest.mark.parametrize("entry, pins", [("predict", 0), ("evaluate", 0),
+                                         ("grad_check", 0), ("train_loop", 1)])
+def test_only_train_loop_pins_the_heap(desk_cfg, desk_dvpt, monkeypatch, entry, pins):
+    model, freeze = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=0, dtype=np.float64)
+    rng = np.random.default_rng(8)
+    images, labels = rng.normal(size=(4, 16, 16, 1)), rng.integers(0, 5, size=4)
+    calls = []
+    monkeypatch.setattr(training, "_pin_heap", lambda: calls.append(None))
+    run = {
+        "predict": lambda: training.predict(model, images),
+        "evaluate": lambda: training.evaluate(model, images, labels),
+        "grad_check": lambda: grad_check(model, images[:1], labels[:1], samples=2),
+        "train_loop": lambda: train_loop(model, images, labels, freeze, epochs=2,
+                                         batch_size=2, seed=0),
+    }
+    run[entry]()
+    assert len(calls) == pins  # once per train_loop call, not once per epoch
+
+
 def test_train_loop_reports_a_frozen_tensor_that_changed(desk_cfg, desk_dvpt, monkeypatch):
     model, policy, images, labels, _ = _desk_batches_of_four(desk_cfg, desk_dvpt)
     frozen = next(name for name, t in model.params.items() if not t.requires_grad)
