@@ -15,6 +15,8 @@ import struct
 
 import numpy as np
 
+ALIGN = 64  # byte boundary the payload buffer starts on
+
 
 class CorruptFileError(ValueError):
     """Short read, bad field or undecodable name; nothing is partially loaded."""
@@ -104,9 +106,10 @@ class Reader:
         the next bytes in order, and the buffer they are views of.
 
         Every entry is bounds-checked before anything is allocated, so a
-        truncated file names its first incomplete entry.  An array is
-        aligned when its offset in the buffer is a multiple of its item
-        size, which holds whenever all entries share one dtype.
+        truncated file names its first incomplete entry.  The buffer
+        starts on an ``ALIGN``-byte boundary; an array is aligned when its
+        offset in the buffer is a multiple of its item size, which holds
+        whenever all entries share one dtype.
         """
         spans, end = [], self.offset
         for dtype, shape, what in entries:
@@ -116,7 +119,11 @@ class Reader:
             spans.append((dtype, shape, end - self.offset, nbytes))
             end += nbytes
         total = end - self.offset
-        buf = np.empty(total, np.uint8)
+        # The arrays may live as long as a model does, so the buffer starts
+        # on a cache-line boundary rather than where malloc put it.
+        raw = np.empty(total + ALIGN - 1, np.uint8)
+        skip = -raw.ctypes.data % ALIGN
+        buf = raw[skip:skip + total]
         got = self.fh.readinto(buf)
         if got != total:
             raise self._short("payload", got, total)

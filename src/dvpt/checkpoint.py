@@ -93,13 +93,17 @@ def load_checkpoint(path):
     return {name: arr for (name, _, _), arr in zip(entries, arrays)}
 
 
-def _copy_into(model, name, arr, what):
-    """Copy ``arr`` into parameter ``name`` after checking its shape."""
-    param = model.params[name]
-    if tuple(arr.shape) != tuple(param.shape):
-        raise ArchitectureMismatchError(
-            f"{what} {name!r} shape {tuple(arr.shape)} != model {tuple(param.shape)}")
-    param.data = arr.astype(model.dtype, copy=True)
+def _assign(model, tensors, what):
+    """Make each ``name -> array`` entry parameter ``name``'s data, after
+    checking every shape, so a mismatch leaves the model untouched.  An
+    array of the model's dtype becomes the parameter's data as it is."""
+    for name, arr in tensors.items():
+        param = model.params[name]
+        if tuple(arr.shape) != tuple(param.shape):
+            raise ArchitectureMismatchError(
+                f"{what} {name!r} shape {tuple(arr.shape)} != model {tuple(param.shape)}")
+    for name, arr in tensors.items():
+        model.params[name].data = arr.astype(model.dtype, copy=False)
 
 
 def load_backbone(model, tensors):
@@ -109,18 +113,19 @@ def load_backbone(model, tensors):
     shape; head / prompt / adapter entries in the checkpoint are ignored
     (they are task-specific).
     """
-    for name in filter(model_mod.is_backbone_param, model.params):
+    names = list(filter(model_mod.is_backbone_param, model.params))
+    for name in names:
         if name not in tensors:
             raise ArchitectureMismatchError(f"backbone tensor {name!r} missing from checkpoint")
-        _copy_into(model, name, tensors[name], "backbone tensor")
+    _assign(model, {name: tensors[name] for name in names}, "backbone tensor")
 
 
 def load_task_params(model, tensors):
     """Load task-specific (trainable) tensors; names and shapes must match."""
-    for name, arr in tensors.items():
+    for name in tensors:
         if name not in model.params:
             raise ArchitectureMismatchError(f"checkpoint tensor {name!r} unknown to model")
-        _copy_into(model, name, arr, "tensor")
+    _assign(model, tensors, "tensor")
 
 
 def save_trainable(path, model):

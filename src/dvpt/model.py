@@ -16,6 +16,8 @@ floor(l / share_every), as the same Tensor objects, so gradients
 accumulate across the layers that share them.
 """
 
+import math
+
 import numpy as np
 
 from . import peft, tensor as T, vit
@@ -76,6 +78,10 @@ def param_shapes(cfg, dvpt_cfg=None, prompts_only=False):
     return shapes
 
 
+INIT_STD = 0.02
+_SKIP_CHUNK = 1 << 16  # values per draw when a skipped weight's draws are discarded
+
+
 def _truncated_normal(rng, shape, std, dtype):
     """Normal(0, std) with draws beyond 2 std resampled."""
     out = rng.normal(0.0, std, size=shape)
@@ -90,11 +96,63 @@ def _truncated_normal(rng, shape, std, dtype):
     return out.astype(dtype)
 
 
+def _skip_truncated_normal(rng, size, std):
+    """Advance ``rng`` past ``_truncated_normal``'s draws for ``size``
+    values without keeping them: each round draws in chunks, counts the
+    draws beyond 2 std, and the next round redraws that many."""
+    while size:
+        bad = 0
+        for start in range(0, size, _SKIP_CHUNK):
+            chunk = rng.normal(0.0, std, size=min(_SKIP_CHUNK, size - start))
+            bad += np.count_nonzero(np.abs(chunk) > 2.0 * std)
+        size = bad
+
+
+class _PendingDraws:
+    """The truncated-normal weights of one ``init_params`` call, drawn at
+    the first read of any of them.
+
+    Resolving replays ``default_rng(seed)`` over every weight in name
+    order: a weight still pending gets its draws, and the generator only
+    skips past the draws of a weight assigned meanwhile.  So every value
+    equals an eager draw, whatever was assigned or read first.  Once a
+    weight is assigned, only its size is kept, so holding a pending weight
+    does not keep an assigned one (or the buffer it views) alive.
+    """
+
+    def __init__(self, seed, dtype):
+        self.seed, self.dtype = seed, dtype
+        self.weights = []  # (name, shape) of every weight, in name order
+        self.pending = {}  # name -> Tensor, for the weights not yet assigned
+
+    def add(self, name, shape):
+        self.weights.append((name, shape))
+        tensor = Tensor.pending(shape, self.dtype, self, requires_grad=True, name=name)
+        self.pending[name] = tensor
+        return tensor
+
+    def forget(self, tensor):
+        del self.pending[tensor.name]
+
+    def resolve(self):
+        rng = np.random.default_rng(self.seed)
+        for name, shape in self.weights:
+            if not self.pending:
+                break
+            tensor = self.pending.get(name)
+            if tensor is None:
+                _skip_truncated_normal(rng, math.prod(shape), INIT_STD)
+            else:
+                tensor.data = _truncated_normal(rng, shape, INIT_STD, self.dtype)
+
+
 def init_params(shapes, gate_init=0.0, seed=0, dtype=np.float32):
     """Seeded initialization: truncated normal (std 0.02) for weights,
     zeros for biases, LN gamma 1 / beta 0, gates at gate_init.
-    Deterministic in (seed, name order)."""
-    rng = np.random.default_rng(seed)
+    Deterministic in (seed, name order).  The weights are drawn at the
+    first read of any of them (see ``_PendingDraws``), so weights that
+    are assigned before then are never drawn."""
+    draws = _PendingDraws(seed, dtype)
     params = {}
     for name, shape in shapes.items():
         if name.endswith(".gamma"):
@@ -104,7 +162,8 @@ def init_params(shapes, gate_init=0.0, seed=0, dtype=np.float32):
         elif name.endswith(".gate"):
             data = np.asarray(gate_init, dtype=dtype)
         else:
-            data = _truncated_normal(rng, shape, 0.02, dtype)
+            params[name] = draws.add(name, shape)
+            continue
         params[name] = Tensor(data, requires_grad=True, name=name)
     return params
 

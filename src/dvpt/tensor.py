@@ -44,35 +44,62 @@ class Tensor:
 
     ``grad`` accumulates across backward passes; callers zero it explicitly.
     Data is float32 or float64, row-major.
+
+    ``data`` may be pending (see ``defer``): until it is read, the tensor
+    holds a zero-stride placeholder of its shape and dtype, so ``shape``,
+    ``dtype``, ``ndim`` and ``size`` never compute it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_producer")
+    __slots__ = ("_data", "_init", "grad", "requires_grad", "name", "_producer")
 
     def __init__(self, data, requires_grad=False, name=None):
         arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float64 if arr.dtype == np.int64 else np.float32)
-        self.data = arr
+        self._data = arr
+        self._init = None  # the pending initializer while data is pending
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._producer = None  # (tape serial, node index) once a tape records it
 
+    @classmethod
+    def pending(cls, shape, dtype, init, requires_grad=False, name=None):
+        """A tensor whose data ``init`` computes at its first read:
+        ``init.resolve()`` must assign it, and any assignment first calls
+        ``init.forget(tensor)``."""
+        out = cls(np.broadcast_to(np.zeros((), dtype), shape), requires_grad, name)
+        out._init = init
+        return out
+
+    @property
+    def data(self):
+        if self._init is not None:
+            self._init.resolve()
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        init, self._init = self._init, None
+        if init is not None:
+            init.forget(self)
+        self._data = value
+
     @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def size(self):
-        return self.data.size
+        return self._data.size
 
     def item(self):
         return float(self.data.reshape(()))

@@ -218,31 +218,44 @@ class TestModelCheckpoints:
         load_backbone(dst, load_checkpoint(path))
         assert np.array_equal(dst.params["prompts"].data, prompts_before)
 
+    @staticmethod
+    def param_bytes(model):
+        return {name: t.data.tobytes() for name, t in model.params.items()}
+
     def test_backbone_missing_tensor(self, desk_cfg, tmp_path):
+        # patch_embed.* and cls_token come before pos_embed in the model
         src, _ = model_for_policy(desk_cfg, None, "full_finetune", seed=26)
         tensors = {n: t for n, t in src.params.items() if n != "pos_embed"}
         path = tmp_path / "partial.ckpt"
         save_checkpoint(path, tensors)
         dst, _ = model_for_policy(desk_cfg, None, "full_finetune", seed=27)
+        before = self.param_bytes(dst)
         with pytest.raises(ArchitectureMismatchError, match="pos_embed"):
             load_backbone(dst, load_checkpoint(path))
+        assert self.param_bytes(dst) == before
 
     def test_backbone_shape_mismatch(self, desk_cfg, tmp_path):
+        # only pos_embed differs in shape, after patch_embed.* and cls_token
         src, _ = model_for_policy(desk_cfg, None, "full_finetune", seed=28)
         path = tmp_path / "full.ckpt"
         save_trainable(path, src)
         bigger = VitConfig(image_h=32, image_w=32, channels=1, patch_size=4,
                            embed_dim=32, depth=4, heads=4, num_classes=5)
         dst, _ = model_for_policy(bigger, None, "full_finetune", seed=29)
-        with pytest.raises(ArchitectureMismatchError, match="shape"):
+        before = self.param_bytes(dst)
+        with pytest.raises(ArchitectureMismatchError, match="pos_embed' shape"):
             load_backbone(dst, load_checkpoint(path))
+        assert self.param_bytes(dst) == before
 
     def test_task_params_unknown_name(self, desk_cfg, desk_dvpt, tmp_path):
         model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=30)
         path = tmp_path / "odd.ckpt"
-        save_checkpoint(path, {"not_a_param": np.zeros(3, dtype=np.float32)})
+        save_checkpoint(path, {"adapter0.gate": np.float32(0.9),
+                               "not_a_param": np.zeros(3, dtype=np.float32)})
+        before = self.param_bytes(model)
         with pytest.raises(ArchitectureMismatchError, match="not_a_param"):
             load_task_params(model, load_checkpoint(path))
+        assert self.param_bytes(model) == before
 
     def test_task_params_roundtrip_restores_exactly(self, desk_cfg, desk_dvpt, tmp_path):
         src, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=31)

@@ -1,11 +1,18 @@
-"""The loaders' read path (one read into one buffer per file, views of it
-for the arrays) and the truncated-normal initializer that builds every
-weight before a backbone is loaded over it."""
+"""The loaders' read path (one read into one 64-byte-aligned buffer per
+file, views of it for the arrays), the arrays a checkpoint load hands to
+the model as they are, and the truncated-normal initializer, whose draws
+wait for the first read of a weight so that a loaded backbone is never
+drawn."""
 
 import gc
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +20,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dvpt import binfile
-from dvpt.checkpoint import (CorruptCheckpointError, load_checkpoint, save_checkpoint,
-                             save_trainable)
+from dvpt import DvptConfig, VitConfig, binfile
+from dvpt.checkpoint import (CorruptCheckpointError, load_backbone, load_checkpoint,
+                             load_task_params, save_checkpoint, save_trainable)
 from dvpt.data import CorruptDatasetError, Dataset, load_dataset, save_dataset
-from dvpt.model import _truncated_normal, model_for_policy
+from dvpt.model import INIT_STD, _truncated_normal, model_for_policy, param_shapes
 
 MIB = 2 ** 20
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# conftest's desk model, as constants so that hypothesis tests can use it
+DESK = VitConfig(image_h=16, image_w=16, channels=1, patch_size=4,
+                 embed_dim=32, depth=4, heads=4, num_classes=5)
+DESK_DVPT = DvptConfig(num_prompts=8, hidden_dim=4, share_every=1, gate_init=0.3)
+# the benchmark's mid config
+MID = VitConfig(image_h=32, image_w=32, channels=1, patch_size=4,
+                embed_dim=128, depth=6, heads=4, num_classes=5)
+MID_DVPT = DvptConfig(num_prompts=16, hidden_dim=8)
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +82,65 @@ def test_truncated_normal_stays_within_two_std():
 
 
 # ---------------------------------------------------------------------------
+# deferred init draws
+
+def is_weight(name):
+    return not name.endswith((".gamma", ".bias", ".beta", ".gate"))
+
+
+def eager_weights(cfg, dvpt_cfg, seed, dtype):
+    """Every truncated-normal weight, drawn up front in name order."""
+    rng = np.random.default_rng(seed)
+    return {name: _truncated_normal(rng, shape, INIT_STD, dtype)
+            for name, shape in param_shapes(cfg, dvpt_cfg).items() if is_weight(name)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_weights_equal_eager_draws_whatever_is_assigned_or_read_first(data, seed, dtype):
+    model, _ = model_for_policy(DESK, DESK_DVPT, "dvpt", seed=seed, dtype=dtype)
+    weights = [name for name in model.params if is_weight(name)]
+    assigned = data.draw(st.sets(st.sampled_from(weights)), label="assigned")
+    values = {}
+    for index, name in enumerate(sorted(assigned)):
+        values[name] = np.full(model.params[name].shape, index, dtype)
+        model.params[name].data = values[name]
+    pending = [name for name in weights if name not in assigned]
+    if pending:
+        model.params[data.draw(st.sampled_from(pending), label="first read")].data
+    want = eager_weights(DESK, DESK_DVPT, seed, dtype)
+    for name, param in model.params.items():
+        if name in values:
+            assert param.data is values[name], name
+        elif name in want:
+            assert param.dtype == dtype and param.data.tobytes() == want[name].tobytes(), name
+
+
+def test_reading_a_pending_weights_shape_draws_nothing(monkeypatch):
+    model, _ = model_for_policy(DESK, DESK_DVPT, "dvpt", seed=3)
+    generators = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args):
+        generators.append(default_rng(*args))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    prompts = model.params["prompts"]
+    assert (prompts.shape, prompts.dtype, prompts.size, prompts.ndim) == (
+        (8, 32), np.float32, 256, 2)
+    for param in model.params.values():
+        repr(param), param.shape, param.dtype, param.size, param.ndim
+    assert generators == []
+    prompts.data  # the first read draws every pending weight, from one generator
+    assert len(generators) == 1
+    monkeypatch.undo()
+    for name, want in eager_weights(DESK, DESK_DVPT, 3, np.float32).items():
+        assert model.params[name].data.tobytes() == want.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
 # loaded arrays
 
 def test_trainable_checkpoint_loads_writable_aligned_disjoint_views(desk_cfg, desk_dvpt,
@@ -75,12 +150,65 @@ def test_trainable_checkpoint_loads_writable_aligned_disjoint_views(desk_cfg, de
     save_trainable(path, model)
     loaded = load_checkpoint(path)
     arrays = list(loaded.values())
+    # malloc aligns to 16 bytes, so one load would be 64-aligned by chance 1 in 4
+    again = [load_checkpoint(path) for _ in range(7)]
+    for first in [arrays[0]] + [next(iter(d.values())) for d in again]:
+        assert first.ctypes.data % binfile.ALIGN == 0
     for name, arr in loaded.items():
         assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.aligned, name
         assert arr.tobytes() == model.params[name].data.tobytes(), name
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def save_backbone(path, cfg, seed=0):
+    src, _ = model_for_policy(cfg, None, "full_finetune", seed=seed)
+    save_trainable(path, src)
+    return src
+
+
+@pytest.mark.parametrize("dtype, shared", [(np.float32, True), (np.float64, False)])
+def test_a_load_keeps_the_loaded_arrays_of_the_models_dtype(tmp_path, dtype, shared):
+    src = save_backbone(tmp_path / "full.ckpt", DESK, seed=11)
+    save_trainable(tmp_path / "task.ckpt", model_for_policy(DESK, DESK_DVPT, "dvpt", seed=12)[0])
+    backbone, task = load_checkpoint(tmp_path / "full.ckpt"), load_checkpoint(tmp_path / "task.ckpt")
+    model, _ = model_for_policy(DESK, DESK_DVPT, "dvpt", seed=13, dtype=dtype)
+    load_backbone(model, backbone)
+    load_task_params(model, task)
+    for loaded in (task, {n: a for n, a in backbone.items() if not n.startswith("head.")}):
+        for name, arr in loaded.items():
+            param = model.params[name]
+            assert param.dtype == dtype and np.shares_memory(param.data, arr) == shared, name
+            assert np.array_equal(param.data, arr), name
+    assert model.params["patch_embed.weight"].data.tobytes() == (
+        src.params["patch_embed.weight"].data.astype(dtype).tobytes())
+
+
+def payload_buffer(arr):
+    """The array that owns the memory ``arr`` views."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def test_dropping_a_model_frees_the_backbone_it_loaded(tmp_path):
+    # The prompts, adapters and head are still pending when the model goes,
+    # and they hold the initializer: it must not hold the loaded weights.
+    save_backbone(tmp_path / "full.ckpt", DESK)
+    gc.collect()
+    gc.disable()
+    try:
+        model, _ = model_for_policy(DESK, DESK_DVPT, "dvpt", seed=1)
+        loaded = load_checkpoint(tmp_path / "full.ckpt")
+        buffer = weakref.ref(payload_buffer(loaded["pos_embed"]))
+        load_backbone(model, loaded)
+        del loaded
+        assert buffer() is not None
+        del model
+        assert buffer() is None
+    finally:
+        gc.enable()
 
 
 def test_edge_entries_round_trip_bitwise(tmp_path):
@@ -191,6 +319,45 @@ def test_checkpoint_rank_numpy_cannot_hold_is_corrupt(tmp_path, rank):
     else:
         with pytest.raises(CorruptCheckpointError, match=f"tensor 'w' has rank {rank}, over 64$"):
             load_checkpoint(path)
+
+
+def test_building_and_loading_a_model_holds_one_copy_of_the_backbone(tmp_path):
+    path = tmp_path / "full.ckpt"
+    save_backbone(path, MID)
+    payload = sum(arr.nbytes for arr in load_checkpoint(path).values())
+
+    def build_and_load(path):
+        model, _ = model_for_policy(MID, MID_DVPT, "dvpt", seed=2)
+        load_backbone(model, load_checkpoint(path))
+        return model
+
+    _, peak = traced_peak(build_and_load, path)
+    assert peak <= 1.1 * payload, (peak / MIB, payload / MIB)
+
+
+# Builds the serving model (ViT-B/16 with dvpt) in a process of its own and
+# prints how much that raised the process's peak resident set.
+_BUILD_RSS = """
+import resource
+from dvpt import DvptConfig, VitConfig
+from dvpt.model import model_for_policy
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+model, _ = model_for_policy({cfg!r}, {dvpt!r}, "dvpt")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_building_a_vitb16_model_draws_none_of_its_86m_weights(paper_cfg):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = _BUILD_RSS.format(cfg=paper_cfg, dvpt=DvptConfig(num_prompts=50, hidden_dim=20))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, else KiB
+    grown = int(proc.stdout) * unit
+    assert grown < 32 * MIB, grown / MIB
 
 
 def test_dataset_load_holds_one_copy_of_the_payload(tmp_path):
