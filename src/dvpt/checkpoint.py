@@ -20,7 +20,7 @@ import zlib
 
 import numpy as np
 
-from . import binfile
+from . import binfile, training
 from . import model as model_mod
 
 MAGIC = b"DVPT"
@@ -111,13 +111,19 @@ def load_backbone(model, tensors):
 
     Every backbone parameter of the model must be present with the exact
     shape; head / prompt / adapter entries in the checkpoint are ignored
-    (they are task-specific).
+    (they are task-specific).  Then pins the process's heap
+    (``training._pin_heap``): the model will run forward passes, and each
+    should reuse the pages the one before it freed.  A model whose weights
+    were never drawn frees no large array before then, so glibc's own
+    mmap threshold stays low and every forward would fault its arrays in
+    afresh.
     """
     names = list(filter(model_mod.is_backbone_param, model.params))
     for name in names:
         if name not in tensors:
             raise ArchitectureMismatchError(f"backbone tensor {name!r} missing from checkpoint")
     _assign(model, {name: tensors[name] for name in names}, "backbone tensor")
+    training._pin_heap()
 
 
 def load_task_params(model, tensors):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from dvpt import DvptConfig
 from dvpt import tensor as T
 from dvpt import training
+from dvpt.checkpoint import load_backbone, load_checkpoint, load_task_params, save_trainable
 from dvpt.model import Model, model_for_policy
 from dvpt.tensor import Tape, Tensor, backward
 from dvpt.training import (AdamState, ContractError, MetricsReport, adam_step,
@@ -603,6 +604,18 @@ def test_only_train_loop_pins_the_heap(desk_cfg, desk_dvpt, monkeypatch, entry, 
     }
     run[entry]()
     assert len(calls) == pins  # once per train_loop call, not once per epoch
+
+
+def test_loading_a_backbone_pins_the_heap(desk_cfg, desk_dvpt, monkeypatch, tmp_path):
+    src, _ = model_for_policy(desk_cfg, None, "full_finetune", seed=0)
+    save_trainable(tmp_path / "full.ckpt", src)
+    save_trainable(tmp_path / "task.ckpt", model_for_policy(desk_cfg, desk_dvpt, "dvpt")[0])
+    model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=1)
+    calls = []
+    monkeypatch.setattr(training, "_pin_heap", lambda: calls.append(None))
+    load_backbone(model, load_checkpoint(tmp_path / "full.ckpt"))
+    load_task_params(model, load_checkpoint(tmp_path / "task.ckpt"))
+    assert len(calls) == 1
 
 
 def test_train_loop_reports_a_frozen_tensor_that_changed(desk_cfg, desk_dvpt, monkeypatch):
