@@ -112,11 +112,10 @@ def load_backbone(model, tensors):
     Every backbone parameter of the model must be present with the exact
     shape; head / prompt / adapter entries in the checkpoint are ignored
     (they are task-specific).  Then pins the process's heap
-    (``training._pin_heap``): the model will run forward passes, and each
-    should reuse the pages the one before it freed.  A model whose weights
-    were never drawn frees no large array before then, so glibc's own
-    mmap threshold stays low and every forward would fault its arrays in
-    afresh.
+    (``training._pin_heap``), so that each forward pass the model runs
+    reuses the pages the one before it freed: set-up frees no large array
+    once the loaded weights were never drawn, so glibc's own mmap
+    threshold would stay at its default.
     """
     names = list(filter(model_mod.is_backbone_param, model.params))
     for name in names:

@@ -45,7 +45,7 @@ class Tensor:
     ``grad`` accumulates across backward passes; callers zero it explicitly.
     Data is float32 or float64, row-major.
 
-    ``data`` may be pending (see ``defer``): until it is read, the tensor
+    ``data`` may be pending (see ``pending``): until it is read, the tensor
     holds a zero-stride placeholder of its shape and dtype, so ``shape``,
     ``dtype``, ``ndim`` and ``size`` never compute it.
     """
