@@ -18,7 +18,6 @@ alive.
 import itertools
 
 import numpy as np
-from scipy.special import erf
 
 FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -288,6 +287,100 @@ def add_const(a, value):
         return (og,)
 
     return _emit(a.data + value, (a,), bwd)
+
+
+# Cephes ndtr.c's coefficients, as scipy.special.erf evaluates them:
+# erf(x) = x * T(x^2) / U(x^2) for |x| <= 1, and erfc(x) = exp(-x^2) * P(x) / Q(x)
+# for 1 < x < 8.  U and Q have an implicit leading coefficient of 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERF_CHUNK = 32768  # elements per pass, so each float64 scratch array stays in cache
+
+
+def _polevl(x, coef, out):
+    """Cephes polevl: Horner's rule from the leading coefficient, into out."""
+    np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x, coef, out):
+    """Cephes p1evl: polevl with an implicit leading coefficient of 1."""
+    np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf_beyond_one(x):
+    """erf of float64 values that are NaN or beyond 1 in magnitude, as
+    Cephes computes it: sign(x) * (1 - erfc(|x|)).
+
+    From 8 up Cephes's erfc (its R/S branch, or 0 past MAXLOG) is below
+    1e-28, so 1 - erfc rounds to exactly 1, as it does at 8 itself: |x| is
+    clamped to 8 instead.  Every NaN gives scipy's +NaN."""
+    a = np.minimum(np.abs(x), 8.0)
+    y = np.multiply(a, a)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    y *= _polevl(a, _ERFC_P, np.empty_like(a))
+    y /= _p1evl(a, _ERFC_Q, np.empty_like(a))
+    np.subtract(1.0, y, out=y)
+    np.copysign(y, x, out=y)
+    y[np.isnan(x)] = np.nan
+    return y
+
+
+def erf(x, out):
+    """Write the error function of float array ``x`` into ``out`` (which may
+    be ``x``) and return ``out``.
+
+    A numpy port of the Cephes code that ``scipy.special.erf`` runs, with its
+    coefficients and order of operations, in float64 over chunks of at most
+    ``_ERF_CHUNK`` elements; a float32 result is rounded once at the end.
+    float32 results equal scipy's bit for bit (``tools/erf_exhaustive.py``
+    checks all 2**32 inputs).  float64 results equal scipy's for |x| <= 1
+    and beyond 1 may differ by 1 ulp, where numpy's exp rounds differently
+    from the C library's.  Scratch memory is a few chunks, whatever the
+    size of ``x``, and no floating-point warning is raised."""
+    # A small array takes chunks of a sixteenth of it (from 4096 elements
+    # up), so its scratch stays a fraction of its own size.
+    chunk = min(_ERF_CHUNK, max(4096, x.size // 16))
+    # Silent: x * x overflows for huge x, a signalling NaN's cast to float64
+    # is invalid and exp underflows, and each still gives scipy's result.
+    with np.errstate(all="ignore"), np.nditer(
+            [x, out], flags=["external_loop", "buffered", "zerosize_ok"],
+            op_flags=[["readonly"], ["writeonly"]], op_dtypes=[np.float64, np.float64],
+            casting="same_kind", buffersize=chunk) as it:
+        z, p, q = np.empty((3, chunk))
+        inner = np.empty(chunk, dtype=bool)
+        for xc, oc in it:
+            n = len(xc)
+            zc, pc, qc, ic = z[:n], p[:n], q[:n], inner[:n]
+            np.multiply(xc, xc, out=zc)
+            # x * x <= 1 exactly when |x| <= 1; NaN fails it too
+            np.less_equal(zc, 1.0, out=ic)
+            outer = None if ic.all() else np.flatnonzero(~ic)
+            # computed before oc is written, since oc may be xc
+            beyond = None if outer is None else _erf_beyond_one(xc[outer])
+            _polevl(zc, _ERF_T, pc)
+            pc *= xc
+            np.divide(pc, _p1evl(zc, _ERF_U, qc), out=oc)
+            if outer is not None:
+                oc[outer] = beyond
+    return out
 
 
 def gelu(a):

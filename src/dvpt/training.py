@@ -3,6 +3,7 @@ gradient checker and the training loop.
 """
 
 import ctypes
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -364,6 +365,11 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
 # training loop
 
 
+def _digest(array):
+    """A SHA-256 digest of ``array``'s bytes, in row-major order."""
+    return hashlib.sha256(np.ascontiguousarray(array)).digest()
+
+
 def _pin_heap():
     """Pin glibc's heap to ``HEAP_MMAP_THRESHOLD`` and ``HEAP_TRIM_THRESHOLD``
     for the rest of the process, so each step reuses the pages the step
@@ -389,13 +395,14 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
     ``_check_batch`` rejects (before any update) and, naming the epoch and
     batch, on a non-finite loss (before its update) or a gradient not finite
     or too large to square (after it); ConfigError on what
-    ``OptimizerConfig.validate`` rejects.  Checks at the end that no frozen
-    tensor moved.  Pins the process's heap with ``_pin_heap``."""
+    ``OptimizerConfig.validate`` rejects.  Checks at the end, against a
+    digest of its bytes taken first, that no frozen tensor changed in any
+    bit.  Pins the process's heap with ``_pin_heap``."""
     OptimizerConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed).validate()
     images, labels = np.asarray(images), np.asarray(labels)  # batches index both
     _check_batch(model, images, labels)
-    frozen_snapshot = {
-        name: t.data.copy() for name, t in model.params.items() if not t.requires_grad
+    frozen_digests = {
+        name: _digest(t.data) for name, t in model.params.items() if not t.requires_grad
     }
     _pin_heap()
     rng = np.random.default_rng(seed)
@@ -431,9 +438,8 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
         if eval_metrics:
             entry.update(evaluate(model, images, labels)._columns())
         history.append(entry)
-    for name, snap in frozen_snapshot.items():
-        current = model.params[name].data
-        if not np.array_equal(current, snap):
+    for name, digest in frozen_digests.items():
+        if _digest(model.params[name].data) != digest:
             raise AssertionError(f"frozen tensor {name!r} changed during training")
     return history
 

@@ -526,3 +526,13 @@ class TestCliWorkflow:
         ds = synth_generate("classification", 16, seed=cfg.data.seed, family="b")
         report = evaluate(model, ds.images, ds.labels)
         assert report.accuracy > 1.0 / 5.0
+
+
+def test_importing_dvpt_loads_no_scipy():
+    code = "import sys, dvpt, dvpt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -715,3 +715,83 @@ def test_taped_forward_retains_only_what_backward_reads(policy, limit_mib):
     assert len(tape) > 0 and loss.size == 1
     assert retained <= limit_mib * (1 << 20), retained / (1 << 20)
 
+
+
+# ---------------------------------------------------------------------------
+# erf: a numpy port of the Cephes code scipy.special.erf runs, which stays
+# its oracle
+
+def _bits32(*patterns):
+    return np.array(patterns, dtype=np.uint32).view(np.float32)
+
+
+def _float32_edges():
+    one, four = np.float32(1.0), np.float32(4.0)
+    tiny, huge = np.finfo(np.float32).tiny, np.finfo(np.float32).max
+    magnitudes = np.concatenate([
+        [0.0, np.nextafter(np.float32(0), one), tiny, np.nextafter(tiny, np.float32(0)),
+         np.nextafter(one, np.float32(0)), one, np.nextafter(one, four),
+         np.float32(8.0), np.float32(26.6), np.float32(27.0), np.float32(1e19),
+         np.float32(3e38), huge, np.inf],
+        _bits32(*range(1, 1 << 12)),  # subnormals
+        np.arange(0x3F800000 - 2048, 0x3F800000 + 2048, dtype=np.uint32).view(np.float32),
+        # every float32 in [3.9, 4.0], where erf reaches 1 in float32
+        np.arange(np.float32(3.9).view(np.uint32), four.view(np.uint32) + 1,
+                  dtype=np.uint32).view(np.float32),
+    ]).astype(np.float32)
+    nans = _bits32(0x7FC00000, 0xFFC00000, 0x7FC00001, 0xFFFFFFFF,  # quiet
+                   0x7F800001, 0xFF800001, 0x7FA00000, 0xFFBFFFFF)  # signalling
+    return np.concatenate([magnitudes, -magnitudes, nans])
+
+
+def _scipy_erf(x):
+    from scipy.special import erf
+    with np.errstate(all="ignore"):  # scipy's own cast of signalling NaNs
+        return erf(x)
+
+
+def test_erf_float32_equals_scipy_bitwise_on_edges_and_random_bit_patterns():
+    patterns = np.random.default_rng(45).integers(0, 1 << 32, size=10**6, dtype=np.uint32)
+    x = np.concatenate([_float32_edges(), patterns.view(np.float32)])
+    with np.errstate(all="raise"):  # erf's own arithmetic stays silent
+        ours = T.erf(x, np.empty_like(x))
+    ref = _scipy_erf(x)
+    differ = ours.view(np.uint32) != ref.view(np.uint32)
+    assert not differ.any(), x[differ][:8]
+
+
+def test_erf_float64_equals_scipy_within_one_and_within_an_ulp_beyond():
+    rng = np.random.default_rng(46)
+    inside = np.concatenate([rng.uniform(-1.0, 1.0, size=10**6), [0.0, -0.0, 1.0, -1.0,
+                             5e-324, -5e-324, np.nextafter(1.0, 0.0), 1e-300]])
+    beyond = np.concatenate([
+        rng.uniform(1.0, 8.0, size=10**6) * rng.choice([-1.0, 1.0], size=10**6),
+        np.nextafter([1.0, -1.0], [2.0, -2.0]), [8.0, -8.0, 26.6, 27.0, 1e200, -1e308,
+                                                 np.inf, -np.inf, np.nan, -np.nan]])
+    with np.errstate(all="raise"):
+        ours_inside = T.erf(inside, np.empty_like(inside))
+        ours_beyond = T.erf(beyond, np.empty_like(beyond))
+    assert np.array_equal(ours_inside.view(np.int64), _scipy_erf(inside).view(np.int64))
+    # numpy's exp and the C library's round differently on some inputs
+    ulps = ours_beyond.view(np.int64) - _scipy_erf(beyond).view(np.int64)
+    assert np.abs(ulps).max() <= 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_writes_in_place_and_takes_any_layout(dtype):
+    x = np.random.default_rng(47).normal(scale=2.0, size=(40, 3, 700)).astype(dtype)
+    x[0, 0, :4] = [np.nan, -np.inf, 30.0, -1.0]
+    ref = T.erf(x, np.empty_like(x)).view(f"u{x.itemsize}")
+    aliased = x.copy()
+    assert T.erf(aliased, aliased) is aliased
+    assert np.array_equal(aliased.view(ref.dtype), ref)
+    view = x.transpose(2, 0, 1)[::2]
+    out = np.empty_like(view)
+    T.erf(view, out)
+    assert np.array_equal(out.view(ref.dtype), ref.transpose(2, 0, 1)[::2])
+    for shape in [(), (0,), (3, 0)]:
+        x = np.full(shape, 0.5, dtype=dtype)
+        out = np.empty_like(x)
+        assert T.erf(x, out) is out and out.shape == shape
+        assert np.array_equal(out, _scipy_erf(x))
+

@@ -635,6 +635,24 @@ def test_train_loop_reports_a_frozen_tensor_that_changed(desk_cfg, desk_dvpt, mo
                             eval_metrics=False, seed=0)
 
 
+def test_train_loop_reports_a_frozen_zero_that_changed_sign(desk_cfg, desk_dvpt, monkeypatch):
+    # 0.0 and -0.0 compare equal, so only a bitwise check sees this write
+    model, policy, images, labels, _ = _desk_batches_of_four(desk_cfg, desk_dvpt)
+    frozen = next(name for name, t in model.params.items() if not t.requires_grad)
+    model.params[frozen].data.flat[0] = 0.0
+    original = training.adam_step
+
+    def adam_step_that_negates_a_frozen_zero(trainable, state):
+        original(trainable, state)
+        model.params[frozen].data.flat[0] = -0.0
+
+    monkeypatch.setattr(training, "adam_step", adam_step_that_negates_a_frozen_zero)
+    with pytest.raises(AssertionError,
+                       match=f"^frozen tensor {re.escape(repr(frozen))} changed during training$"):
+        training.train_loop(model, images, labels, policy, epochs=1, batch_size=4,
+                            eval_metrics=False, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # the batch contract evaluate, train_loop and grad_check share
 
