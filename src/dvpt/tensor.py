@@ -302,7 +302,7 @@ _ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.463210564422
 _ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
            9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERF_CHUNK = 32768  # elements per pass, so each float64 scratch array stays in cache
+_ERF_CHUNK = 32768  # elements per pass, so each float64 work array stays in cache
 
 
 def _polevl(x, coef, out):
@@ -353,10 +353,10 @@ def erf(x, out):
     float32 results equal scipy's bit for bit (``tools/erf_exhaustive.py``
     checks all 2**32 inputs).  float64 results equal scipy's for |x| <= 1
     and beyond 1 may differ by 1 ulp, where numpy's exp rounds differently
-    from the C library's.  Scratch memory is a few chunks, whatever the
+    from the C library's.  Temporary memory is a few chunks, whatever the
     size of ``x``, and no floating-point warning is raised."""
     # A small array takes chunks of a sixteenth of it (from 4096 elements
-    # up), so its scratch stays a fraction of its own size.
+    # up), so its temporaries stay a fraction of its own size.
     chunk = min(_ERF_CHUNK, max(4096, x.size // 16))
     # Values beyond 1 (and NaNs), with their C-order positions, held until a
     # quarter chunk of them has gathered: each batch costs ~45 numpy calls,

@@ -529,7 +529,8 @@ class TestCliWorkflow:
 
 
 def test_importing_dvpt_loads_no_scipy():
-    code = "import sys, dvpt, dvpt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, dvpt, dvpt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

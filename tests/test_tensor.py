@@ -716,7 +716,6 @@ def test_taped_forward_retains_only_what_backward_reads(policy, limit_mib):
     assert retained <= limit_mib * (1 << 20), retained / (1 << 20)
 
 
-
 # ---------------------------------------------------------------------------
 # erf: a numpy port of the Cephes code scipy.special.erf runs, which stays
 # its oracle
@@ -794,4 +793,3 @@ def test_erf_writes_in_place_and_takes_any_layout(dtype):
         out = np.empty_like(x)
         assert T.erf(x, out) is out and out.shape == shape
         assert np.array_equal(out, _scipy_erf(x))
-

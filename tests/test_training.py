@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dvpt import DvptConfig
+from dvpt import DvptConfig, VitConfig
 from dvpt import tensor as T
 from dvpt import training
 from dvpt.checkpoint import load_backbone, load_checkpoint, load_task_params, save_trainable
@@ -633,6 +634,24 @@ def test_train_loop_reports_a_frozen_tensor_that_changed(desk_cfg, desk_dvpt, mo
                        match=f"^frozen tensor {re.escape(repr(frozen))} changed during training$"):
         training.train_loop(model, images, labels, policy, epochs=2, batch_size=4,
                             eval_metrics=False, seed=0)
+
+
+def test_train_loop_holds_no_copy_of_the_frozen_tensors():
+    # wide and shallow on one-token images: the frozen weights outweigh
+    # everything a step allocates
+    cfg = VitConfig(image_h=4, image_w=4, channels=1, patch_size=4, embed_dim=256, depth=1,
+                    heads=4, num_classes=2)
+    model, policy = model_for_policy(cfg, DvptConfig(num_prompts=1, hidden_dim=2), "dvpt")
+    # reading data draws the weights, before tracing starts
+    frozen = sum(t.data.nbytes for t in model.params.values() if not t.requires_grad)
+    tracemalloc.start()
+    try:
+        train_loop(model, np.zeros((2, 4, 4, 1), np.float32), np.array([0, 1]), policy,
+                   epochs=1, batch_size=2, eval_metrics=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frozen / 4, (peak, frozen)
 
 
 def test_train_loop_reports_a_frozen_zero_that_changed_sign(desk_cfg, desk_dvpt, monkeypatch):
