@@ -40,15 +40,17 @@ seq = peft.append_prompts(seq, model.params["prompts"])
 print(f"after prompt append:   {seq.tokens.shape}  "
       f"({seq.num_prompts} prompts + cls + patches)")
 
-mid = vit.attention_residual(seq, model.params, "block0", cfg)
+# The block layers take and return the token tensor; only cross-attention
+# needs the layout that tells prompt rows from the rest.
+mid = vit.attention_residual(seq.tokens, model.params, "block0", cfg)
 compressed = peft.down_project(mid, model.params, "adapter0")
-print(f"bottleneck compresses tokens to width {compressed.tokens.shape[2]}")
+print(f"bottleneck compresses tokens to width {compressed.shape[2]}")
 
-p_prime = peft.cavpt(compressed)
+p_prime = peft.cavpt(seq.with_tokens(compressed))
 print(f"cross-attended prompt rows: {p_prime.shape}")
 
-branch = peft.adapter_branch(mid, model.params, "adapter0")
-print(f"branch output, back at width {branch.tokens.shape[2]}, "
+branch = peft.adapter_branch(seq.with_tokens(mid), model.params, "adapter0")
+print(f"branch output, back at width {branch.shape[2]}, "
       f"scaled by gate = {model.params['adapter0.gate'].data:+.2f}")
 
 logits = model.forward(images)

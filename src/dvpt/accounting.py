@@ -23,6 +23,16 @@ from .vit import ConfigError
 REFERENCE_TOTALS_VITB16 = {1: 457_446, 2: 268_414}
 
 
+def reference_total(cfg, dvpt_cfg):
+    """The reported trainable total when (cfg, dvpt_cfg) is the ViT-B/16
+    configuration, else None."""
+    if dvpt_cfg is None:
+        return None
+    if (dvpt_cfg.num_prompts, dvpt_cfg.hidden_dim, cfg.embed_dim, cfg.depth) != (50, 20, 768, 12):
+        return None
+    return REFERENCE_TOTALS_VITB16.get(dvpt_cfg.share_every)
+
+
 def closed_form(m, d_prime, d, depth, share_every):
     """Closed-form trainable-parameter count for the adapter scheme."""
     for label, v in (("m", m), ("d_prime", d_prime), ("d", d), ("depth", depth),

@@ -36,14 +36,7 @@ def _load_data(cfg):
         ds = data_mod.load_dataset(d.path)
         if ds.task != cfg.task:
             raise ConfigError(f"dataset task {ds.task!r} does not match [run] task {cfg.task!r}")
-        m = cfg.model
-        if ds.images.shape[1:] != (m.image_h, m.image_w, m.channels):
-            raise ConfigError(
-                f"dataset images are {ds.images.shape[1:]} (H, W, C), [model] expects "
-                f"{(m.image_h, m.image_w, m.channels)}")
-        if ds.labels.size and ds.labels.max() >= m.num_classes:
-            raise ConfigError(
-                f"dataset label {ds.labels.max()} outside [model] num_classes = {m.num_classes}")
+        training._check_batch(cfg.model, cfg.task, ds.images, ds.labels)
         return ds
     return data_mod.synth_generate(
         cfg.task, d.count, d.seed, difficulty=d.difficulty, family=d.family,
@@ -69,16 +62,6 @@ def _check_writable(*paths):
 
 def _seed(cfg, args):
     return cfg.optimizer.seed if args.seed is None else args.seed
-
-
-def _reference_total(cfg):
-    """Reported reference count, when the config matches the ViT-B/16 setting."""
-    dv = cfg.dvpt
-    if dv is None:
-        return None
-    if (dv.num_prompts, dv.hidden_dim, cfg.model.embed_dim, cfg.model.depth) == (50, 20, 768, 12):
-        return accounting.REFERENCE_TOTALS_VITB16.get(dv.share_every)
-    return None
 
 
 def cmd_synth_data(cfg, args):
@@ -111,7 +94,8 @@ def cmd_finetune(cfg, args):
                                      task=cfg.task, seed=seed)
     checkpoint.load_backbone(model, checkpoint.load_checkpoint(args.backbone))
     report = accounting.report_from_config(cfg.model, cfg.dvpt, cfg.policy)
-    print(accounting.format_report(report, reference_total=_reference_total(cfg)))
+    reference = accounting.reference_total(cfg.model, cfg.dvpt)
+    print(accounting.format_report(report, reference_total=reference))
     history = training.train_loop(
         model, ds.images, ds.labels, policy,
         epochs=cfg.optimizer.epochs, lr=cfg.optimizer.lr,
@@ -143,7 +127,7 @@ def cmd_eval(cfg, args):
 
 def cmd_count_params(cfg, args):
     report = accounting.report_from_config(cfg.model, cfg.dvpt, cfg.policy)
-    reference = _reference_total(cfg)
+    reference = accounting.reference_total(cfg.model, cfg.dvpt)
     print(accounting.format_report(report, reference_total=reference))
     print(accounting.report_key_values(report, reference_total=reference))
     return EXIT_OK

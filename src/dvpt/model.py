@@ -201,12 +201,13 @@ class Model:
             seq = peft.append_prompts(seq, self.params["prompts"])
         for layer in range(self.cfg.depth):
             block = f"block{layer}"
-            mid = vit.attention_residual(seq, self.params, block, self.cfg)
-            seq = vit.ffn_residual(mid, self.params, block)
+            mid = vit.attention_residual(seq.tokens, self.params, block, self.cfg)
+            x = vit.ffn_residual(mid, self.params, block)
             if self.has_adapter and use_adapter:
                 adapter = f"adapter{layer // self.dvpt_cfg.share_every}"
-                branch = peft.adapter_branch(mid, self.params, adapter)
-                seq = seq.with_tokens(T.add(seq.tokens, branch.tokens))
+                x = T.add(x, peft.adapter_branch(seq.with_tokens(mid), self.params, adapter))
+            # seq carries the layout on; rebinding it frees this layer's input tokens
+            seq = seq.with_tokens(x)
         if self.task == "classification":
             return vit.classification_head(seq, self.params)
         return vit.segmentation_head(seq, self.params, self.cfg)

@@ -6,7 +6,9 @@ The adapter branch runs parallel to the FFN inside each transformer
 block: the post-attention sequence is down-projected through a GELU
 bottleneck, the prompt rows attend over the image/class rows, the result
 is up-projected and scaled by a learnable scalar gate, and added to the
-block output as an extra residual.
+block output as an extra residual.  The projections act on every row
+alike and take a token Tensor; ``cavpt`` and ``reassemble`` split prompt
+rows from the rest, so they read the ``TokenSequence`` layout.
 """
 
 import math
@@ -74,11 +76,9 @@ def append_prompts(seq, prompts):
                          num_patches=seq.num_patches)
 
 
-def down_project(seq, params, prefix):
+def down_project(x, params, prefix):
     """GELU bottleneck compression applied to every token row."""
-    out = T.gelu(T.linear(seq.tokens, params[f"{prefix}.down.weight"],
-                          params[f"{prefix}.down.bias"]))
-    return seq.with_tokens(out)
+    return T.gelu(T.linear(x, params[f"{prefix}.down.weight"], params[f"{prefix}.down.bias"]))
 
 
 def cavpt(seq):
@@ -98,25 +98,23 @@ def cavpt(seq):
 
 
 def reassemble(p_prime, seq):
-    """Rebuild the compressed sequence with the attended prompt rows in
-    front; image/class rows pass through unchanged."""
-    m = seq.num_prompts
-    keys = T.slice_axis(seq.tokens, 1, m, seq.seq_len)
-    tokens = T.concat([p_prime, keys], axis=1)
-    return seq.with_tokens(tokens)
+    """The compressed token rows with the attended prompt rows in front;
+    image/class rows pass through unchanged."""
+    keys = T.slice_axis(seq.tokens, 1, seq.num_prompts, seq.seq_len)
+    return T.concat([p_prime, keys], axis=1)
 
 
-def up_project_gate(seq, params, prefix):
+def up_project_gate(x, params, prefix):
     """Expand back to embed_dim, then scale by the scalar gate."""
-    out = T.linear(seq.tokens, params[f"{prefix}.up.weight"], params[f"{prefix}.up.bias"])
-    return seq.with_tokens(T.mul(out, params[f"{prefix}.gate"]))
+    out = T.linear(x, params[f"{prefix}.up.weight"], params[f"{prefix}.up.bias"])
+    return T.mul(out, params[f"{prefix}.gate"])
 
 
 def adapter_branch(seq, params, prefix):
-    """The full bottleneck branch on the post-attention sequence."""
-    compressed = down_project(seq, params, prefix)
-    p_prime = cavpt(compressed)
-    rebuilt = reassemble(p_prime, compressed)
+    """The full bottleneck branch on the post-attention sequence; returns
+    its token Tensor."""
+    compressed = seq.with_tokens(down_project(seq.tokens, params, prefix))
+    rebuilt = reassemble(cavpt(compressed), compressed)
     return up_project_gate(rebuilt, params, prefix)
 
 

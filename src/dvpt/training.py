@@ -240,10 +240,10 @@ def reduce_mask_to_grid(masks, patch_size):
     return np.asarray(masks)[:, half::patch_size, half::patch_size]
 
 
-def _check_images(model, images):
+def _check_images(cfg, images):
     """The image half of the batch contract, from shapes alone: a non-empty
-    (n, H, W, C) stack of the model's geometry.  Returns its shape."""
-    cfg, shape = model.cfg, np.shape(images)
+    (n, H, W, C) stack of ``cfg``'s geometry.  Returns its shape."""
+    shape = np.shape(images)
     if shape[:1] == (0,):
         raise ContractError("empty dataset")
     geometry = (cfg.image_h, cfg.image_w, cfg.channels)
@@ -252,21 +252,25 @@ def _check_images(model, images):
     return shape
 
 
-def _check_batch(model, images, labels):
-    """The batch contract of evaluate, train_loop and grad_check; returns the scored labels."""
-    shape, labels, cfg = _check_images(model, images), np.asarray(labels), model.cfg
-    want = shape[:1] if model.task == "classification" else shape[:3]
+def _check_batch(cfg, task, images, labels):
+    """The batch contract of evaluate, train_loop, grad_check and the CLI's
+    datasets, for a ``task`` model of config ``cfg``: every label, and every
+    mask pixel, in [0, K).  Returns the scored labels (for a mask, its
+    patch-centre pixels)."""
+    shape, labels = _check_images(cfg, images), np.asarray(labels)
+    want = shape[:1] if task == "classification" else shape[:3]
     if labels.shape != want:
         raise ContractError(f"labels must be shaped {want}, got {labels.shape}")
-    if model.task == "segmentation":  # scored at the patch-centre pixels
+    labels = _check_labels(labels, cfg.num_classes)
+    if task == "segmentation":
         labels = reduce_mask_to_grid(labels, cfg.patch_size)
-    return _check_labels(labels, cfg.num_classes)
+    return labels
 
 
 def batch_loss(model, images, labels):
     """Forward + task loss as a Tensor (recordable on an active tape).
     Raises ContractError on images ``_check_images`` rejects."""
-    _check_images(model, images)
+    _check_images(model.cfg, images)
     x = Tensor(np.asarray(images, dtype=model.dtype))
     logits = model.forward(x)
     if model.task == "classification":
@@ -277,27 +281,29 @@ def batch_loss(model, images, labels):
 
 def predict(model, images):
     """Logits for a stack of images, computed without taping,
-    ``PREDICT_BATCH`` images at a time.  Raises ContractError on images
-    ``_check_images`` rejects."""
-    _check_images(model, images)
+    ``PREDICT_BATCH`` images at a time, under ``_OVERFLOW_CHECKED``.
+    Raises ContractError on images ``_check_images`` rejects, or naming the
+    first sample whose logits are not finite."""
+    _check_images(model.cfg, images)
     outs = []
-    for start in range(0, len(images), PREDICT_BATCH):
-        x = Tensor(np.asarray(images[start:start + PREDICT_BATCH], dtype=model.dtype))
-        outs.append(model.forward(x).data)
-    return np.concatenate(outs, axis=0)
-
-
-def evaluate(model, images, labels):
-    """MetricsReport on a dataset, order-independent by construction; raises
-    ContractError on a batch ``_check_batch`` rejects or on non-finite logits."""
-    labels = _check_batch(model, images, labels)
     with np.errstate(**_OVERFLOW_CHECKED):
-        logits = predict(model, images)
+        for start in range(0, len(images), PREDICT_BATCH):
+            x = Tensor(np.asarray(images[start:start + PREDICT_BATCH], dtype=model.dtype))
+            outs.append(model.forward(x).data)
+    logits = np.concatenate(outs, axis=0)
     finite = np.isfinite(logits.reshape(len(logits), -1)).all(axis=1)
     if not finite.all():
         raise ContractError(
             f"non-finite logits for sample {np.argmin(finite)}{_HUGE_INPUT}")
-    preds = logits.argmax(axis=-1)
+    return logits
+
+
+def evaluate(model, images, labels):
+    """MetricsReport on a dataset, order-independent by construction; raises
+    ContractError on a batch ``_check_batch`` rejects or logits ``predict``
+    rejects."""
+    labels = _check_batch(model.cfg, model.task, images, labels)
+    preds = predict(model, images).argmax(axis=-1)
     if model.task == "classification":
         confusion = confusion_matrix(labels, preds, model.cfg.num_classes)
         return MetricsReport(model.task, accuracy=accuracy(confusion),
@@ -325,7 +331,7 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
         raise ContractError(f"grad_check tol must be positive and finite, got {tol}")
     if model.dtype != np.float64:
         raise ContractError("grad_check requires a float64 model")
-    _check_batch(model, images, labels)
+    _check_batch(model.cfg, model.task, images, labels)
     model.zero_grad()
     with Tape() as tape:
         loss = batch_loss(model, images, labels)
@@ -400,7 +406,7 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
     bit.  Pins the process's heap with ``_pin_heap``."""
     OptimizerConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed).validate()
     images, labels = np.asarray(images), np.asarray(labels)  # batches index both
-    _check_batch(model, images, labels)
+    _check_batch(model.cfg, model.task, images, labels)
     frozen_digests = {
         name: _digest(t.data) for name, t in model.params.items() if not t.requires_grad
     }

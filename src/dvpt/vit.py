@@ -4,6 +4,10 @@ segmentation heads.
 
 Parameters live in a flat name -> Tensor dict owned by the model (see
 ``model.py``); the functions here take that dict plus a per-block prefix.
+The block layers act on every row alike, so they take and return the
+``[batch, seq_len, dim]`` token Tensor; only ``patch_embed`` and the heads,
+which must tell prompt, class and patch rows apart, deal in a
+``TokenSequence``.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -99,10 +103,9 @@ def patch_embed(images, params, cfg):
     return TokenSequence(tokens, num_prompts=0, has_cls=True, num_patches=cfg.num_patches)
 
 
-def mhsa(seq, params, prefix, cfg):
+def mhsa(x, params, prefix, cfg):
     """Multi-head self-attention with per-head scale sqrt(dim/heads) and an
     output projection.  Sequence length is preserved."""
-    x = seq.tokens
     b, s, d = x.shape
     h = cfg.heads
     dh = d // h
@@ -117,32 +120,25 @@ def mhsa(seq, params, prefix, cfg):
 
     ctx = T.attention(q, k, v, 1.0 / np.sqrt(dh))  # [b, h, s, dh]
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, d))
-    out = T.linear(ctx, params[f"{prefix}.attn.wo.weight"], params[f"{prefix}.attn.wo.bias"])
-    return seq.with_tokens(out)
+    return T.linear(ctx, params[f"{prefix}.attn.wo.weight"], params[f"{prefix}.attn.wo.bias"])
 
 
-def ffn(seq, params, prefix):
+def ffn(x, params, prefix):
     """Position-wise feed-forward: GELU(x W1 + b1) W2 + b2, hidden dim 4d."""
-    x = seq.tokens
     hidden = T.gelu(T.linear(x, params[f"{prefix}.ffn.w1.weight"], params[f"{prefix}.ffn.w1.bias"]))
-    out = T.linear(hidden, params[f"{prefix}.ffn.w2.weight"], params[f"{prefix}.ffn.w2.bias"])
-    return seq.with_tokens(out)
+    return T.linear(hidden, params[f"{prefix}.ffn.w2.weight"], params[f"{prefix}.ffn.w2.bias"])
 
 
-def attention_residual(seq, params, prefix, cfg):
+def attention_residual(x, params, prefix, cfg):
     """MHSA(LN(x)) + x, the first half of a pre-norm block."""
-    normed = seq.with_tokens(
-        T.layernorm(seq.tokens, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
-    )
-    return seq.with_tokens(T.add(mhsa(normed, params, prefix, cfg).tokens, seq.tokens))
+    normed = T.layernorm(x, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
+    return T.add(mhsa(normed, params, prefix, cfg), x)
 
 
-def ffn_residual(seq, params, prefix):
+def ffn_residual(x, params, prefix):
     """FFN(LN(x)) + x, the second half of a pre-norm block."""
-    normed = seq.with_tokens(
-        T.layernorm(seq.tokens, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
-    )
-    return seq.with_tokens(T.add(ffn(normed, params, prefix).tokens, seq.tokens))
+    normed = T.layernorm(x, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
+    return T.add(ffn(normed, params, prefix), x)
 
 
 def classification_head(seq, params):

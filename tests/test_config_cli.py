@@ -291,16 +291,16 @@ class TestDatasetFitsModel:
         cfg = dataset_config(tmp_path, synth_generate("classification", 4, seed=5, h=8, w=8))
         assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.err == ("config error: dataset images are (8, 8, 1) (H, W, C), "
-                                "[model] expects (16, 16, 1)\n") and not captured.out
+        assert captured.err == ("config error: images shaped (4, 8, 8, 1), not (n, H, W, C) "
+                                "with (H, W, C) = (16, 16, 1)\n") and not captured.out
 
     def test_channel_mismatch_exits_two(self, tmp_path, workspace, capsys):
         from dvpt.data import synth_generate
         cfg = dataset_config(tmp_path, synth_generate("classification", 4, seed=5, channels=3))
         assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.err == ("config error: dataset images are (16, 16, 3) (H, W, C), "
-                                "[model] expects (16, 16, 1)\n") and not captured.out
+        assert captured.err == ("config error: images shaped (4, 16, 16, 3), not (n, H, W, C) "
+                                "with (H, W, C) = (16, 16, 1)\n") and not captured.out
 
     def test_label_outside_num_classes_exits_two(self, tmp_path, workspace, capsys):
         from dvpt.data import Dataset, synth_generate
@@ -309,8 +309,8 @@ class TestDatasetFitsModel:
         cfg = dataset_config(tmp_path, ds)
         assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.err == ("config error: dataset label 8 outside [model] "
-                                "num_classes = 5\n") and not captured.out
+        assert captured.err == "config error: labels outside [0, 5): range 0..8\n" \
+            and not captured.out
 
     def test_empty_dataset_exits_two(self, tmp_path, workspace, capsys):
         from dvpt.data import Dataset
@@ -319,6 +319,18 @@ class TestDatasetFitsModel:
         cfg = dataset_config(tmp_path, ds)
         assert self._eval(cfg, workspace) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
+        assert captured.err == "config error: empty dataset\n" and not captured.out
+
+    def test_finetune_on_empty_dataset_exits_two_before_any_output(self, tmp_path, workspace,
+                                                                    capsys):
+        from dvpt.data import Dataset
+        ds = Dataset(np.zeros((0, 16, 16, 1), np.float32), np.zeros(0, np.uint16),
+                     "classification", 5)
+        out = tmp_path / "task.ckpt"
+        code = cli.main(["finetune", "--config", dataset_config(tmp_path, ds),
+                         "--backbone", str(workspace["backbone"]), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and not out.exists()
         assert captured.err == "config error: empty dataset\n" and not captured.out
 
     def test_grad_check_on_empty_dataset_exits_two(self, tmp_path, capsys):

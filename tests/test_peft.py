@@ -66,8 +66,8 @@ class TestDownProject:
         params = adapter_params(8, 3, seed=4)
         params["adapter0.down.weight"].data[:] = 0.0
         params["adapter0.down.bias"].data[:] = 0.0
-        out = peft.down_project(make_seq(rng, 1, 2, 3, 8), params, "adapter0")
-        assert np.abs(out.tokens.data).max() == 0.0
+        out = peft.down_project(make_seq(rng, 1, 2, 3, 8).tokens, params, "adapter0")
+        assert np.abs(out.data).max() == 0.0
 
     def test_identity_projection_is_gelu(self):
         from scipy.special import erf
@@ -77,22 +77,21 @@ class TestDownProject:
             "adapter0.down.weight": Tensor(np.eye(d)),
             "adapter0.down.bias": Tensor(np.zeros(d)),
         }
-        seq = make_seq(rng, 1, 1, 2, d)
-        out = peft.down_project(seq, params, "adapter0")
-        x = seq.tokens.data
-        np.testing.assert_allclose(out.tokens.data,
-                                   x * 0.5 * (1.0 + erf(x / np.sqrt(2.0))), atol=1e-12)
+        tokens = make_seq(rng, 1, 1, 2, d).tokens
+        out = peft.down_project(tokens, params, "adapter0")
+        x = tokens.data
+        np.testing.assert_allclose(out.data, x * 0.5 * (1.0 + erf(x / np.sqrt(2.0))), atol=1e-12)
 
     def test_applies_to_every_token(self):
         from scipy.special import erf
         rng = np.random.default_rng(6)
         params = adapter_params(8, 3, seed=6)
-        seq = make_seq(rng, 2, 2, 3, 8)
-        out = peft.down_project(seq, params, "adapter0")
-        pre = seq.tokens.data @ params["adapter0.down.weight"].data \
+        tokens = make_seq(rng, 2, 2, 3, 8).tokens
+        out = peft.down_project(tokens, params, "adapter0")
+        pre = tokens.data @ params["adapter0.down.weight"].data \
             + params["adapter0.down.bias"].data
         expected = pre * 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))
-        np.testing.assert_allclose(out.tokens.data, expected, atol=1e-10)
+        np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
 
 class TestCavpt:
@@ -148,47 +147,47 @@ class TestReassemble:
         seq = make_seq(rng, 1, 2, 3, 4)
         p = Tensor(seq.tokens.data[:, :2].copy())
         out = peft.reassemble(p, seq)
-        np.testing.assert_array_equal(out.tokens.data, seq.tokens.data)
+        np.testing.assert_array_equal(out.data, seq.tokens.data)
 
     def test_keys_pass_through_bitwise(self):
         rng = np.random.default_rng(13)
         seq = make_seq(rng, 2, 3, 4, 5)
         p = Tensor(rng.normal(size=(2, 3, 5)))
         out = peft.reassemble(p, seq)
-        assert np.array_equal(out.tokens.data[:, 3:], seq.tokens.data[:, 3:])
+        assert np.array_equal(out.data[:, 3:], seq.tokens.data[:, 3:])
 
     def test_row_order(self):
         rng = np.random.default_rng(14)
         seq = make_seq(rng, 1, 1, 1, 3)
         p = Tensor(rng.normal(size=(1, 1, 3)))
         out = peft.reassemble(p, seq)
-        np.testing.assert_array_equal(out.tokens.data[0, 0], p.data[0, 0])
-        np.testing.assert_array_equal(out.tokens.data[0, 1:], seq.tokens.data[0, 1:])
+        np.testing.assert_array_equal(out.data[0, 0], p.data[0, 0])
+        np.testing.assert_array_equal(out.data[0, 1:], seq.tokens.data[0, 1:])
 
 
 class TestUpProjectGate:
     def test_gate_off_zero_output(self):
         rng = np.random.default_rng(15)
         params = adapter_params(8, 3, seed=15, gate=0.0)
-        out = peft.up_project_gate(make_seq(rng, 1, 2, 2, 3), params, "adapter0")
-        assert np.abs(out.tokens.data).max() == 0.0
+        out = peft.up_project_gate(make_seq(rng, 1, 2, 2, 3).tokens, params, "adapter0")
+        assert np.abs(out.data).max() == 0.0
 
     def test_zero_weight_gives_bias(self):
         rng = np.random.default_rng(16)
         params = adapter_params(8, 3, seed=16, gate=1.0)
         params["adapter0.up.weight"].data[:] = 0.0
-        out = peft.up_project_gate(make_seq(rng, 1, 1, 2, 3), params, "adapter0")
+        out = peft.up_project_gate(make_seq(rng, 1, 1, 2, 3).tokens, params, "adapter0")
         np.testing.assert_array_equal(
-            out.tokens.data, np.broadcast_to(params["adapter0.up.bias"].data, (1, 4, 8)))
+            out.data, np.broadcast_to(params["adapter0.up.bias"].data, (1, 4, 8)))
 
     def test_matmul_oracle(self):
         rng = np.random.default_rng(17)
         params = adapter_params(8, 3, seed=17, gate=0.7)
-        seq = make_seq(rng, 1, 2, 2, 3)
-        out = peft.up_project_gate(seq, params, "adapter0")
-        expected = 0.7 * (seq.tokens.data @ params["adapter0.up.weight"].data
+        tokens = make_seq(rng, 1, 2, 2, 3).tokens
+        out = peft.up_project_gate(tokens, params, "adapter0")
+        expected = 0.7 * (tokens.data @ params["adapter0.up.weight"].data
                           + params["adapter0.up.bias"].data)
-        np.testing.assert_allclose(out.tokens.data, expected, atol=1e-10)
+        np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
 
 class TestAdapterBlock:
@@ -223,16 +222,16 @@ class TestAdapterBlock:
         monkeypatch.setattr(vit, "classification_head", head_spy)
         model.forward(images)
         seq = peft.append_prompts(vit.patch_embed(images, params, desk_cfg), params["prompts"])
+        x = seq.tokens
         for layer in range(desk_cfg.depth):
             block, adapter = f"block{layer}", f"adapter{layer}"
-            mid = vit.attention_residual(seq, params, block, desk_cfg)
+            mid = vit.attention_residual(x, params, block, desk_cfg)
             plain = vit.ffn_residual(mid, params, block)
+            compressed = seq.with_tokens(peft.down_project(mid, params, adapter))
             branch = peft.up_project_gate(
-                peft.reassemble(peft.cavpt(peft.down_project(mid, params, adapter)),
-                                peft.down_project(mid, params, adapter)),
-                params, adapter)
-            seq = plain.with_tokens(Tensor(plain.tokens.data + branch.tokens.data))
-        np.testing.assert_allclose(final[0], seq.tokens.data, atol=1e-6)
+                peft.reassemble(peft.cavpt(compressed), compressed), params, adapter)
+            x = Tensor(plain.data + branch.data)
+        np.testing.assert_allclose(final[0], x.data, atol=1e-6)
 
 
 class TestSharing:

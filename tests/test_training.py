@@ -369,6 +369,28 @@ class TestTrainLoop:
         with pytest.raises(ContractError, match=rf"^non-finite logits for sample {bad}: "):
             training.evaluate(model, images, labels)
 
+    def test_predict_names_first_sample_with_non_finite_logits(self, desk_cfg, desk_dvpt):
+        model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt")
+        model.params["head.bias"].data[2] = np.nan
+        images, _ = self._data(n=3)
+        with pytest.raises(ContractError, match=r"^non-finite logits for sample 0: "):
+            training.predict(model, images)
+
+    def test_predict_on_a_huge_pixel_returns_the_logits_evaluate_scores(self, desk_cfg):
+        # the plain model's LayerNorm zeroes the overflowing row, so its
+        # logits stay finite
+        model, _ = model_for_policy(desk_cfg, None, "full_finetune")
+        images, labels = self._data(n=8)
+        images[3, 5, 7, 0] = 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            logits = training.predict(model, images)
+            report = training.evaluate(model, images, labels)
+        assert np.isfinite(logits).all()
+        confusion = training.confusion_matrix(labels, logits.argmax(axis=-1), 5)
+        assert report.accuracy == training.accuracy(confusion)
+        assert report.kappa == training.quadratic_weighted_kappa(confusion)
+
     @pytest.mark.parametrize("task", ["classification", "segmentation"])
     @pytest.mark.parametrize("bad_label", [-1, 5, 7])
     def test_evaluate_rejects_a_label_outside_the_classes(self, desk_cfg, desk_dvpt,
@@ -732,6 +754,16 @@ def test_entry_points_reject_a_batch_that_breaks_the_contract(desk_cfg, desk_dvp
     assert not re.match(_TAKEN, str(caught.value))
 
 
+@pytest.mark.parametrize("entry", ["evaluate", "train_loop", "grad_check"])
+def test_entry_points_reject_a_mask_label_off_the_patch_centres(desk_cfg, desk_dvpt, entry):
+    rng = np.random.default_rng(4)
+    images = rng.normal(size=(2, 16, 16, 1))
+    masks = rng.integers(0, 5, size=(2, 16, 16))
+    masks[1, 0, 0] = 5  # the patch centres are the pixels at 2 mod 4
+    with pytest.raises(ContractError, match=r"^labels outside \[0, 5\): range 0\.\.5$"):
+        _run_entry(entry, desk_cfg, desk_dvpt, "segmentation", images, masks)
+
+
 def test_train_loop_rejects_a_label_in_a_later_batch_before_any_update(desk_cfg, desk_dvpt):
     rng = np.random.default_rng(1)
     images = rng.normal(size=(16, 16, 16, 1)).astype(np.float32)
@@ -781,8 +813,9 @@ def test_entry_points_give_a_finite_rerun_stable_result_or_a_contract_error(
     if fault == "range":  # one label, or one mask pixel, outside [0, 5)
         where = tuple(draw(st.integers(0, size - 1)) for size in labels.shape)
         labels[where] = np.array(draw(st.sampled_from([-1, 5, 7]))).astype(dtype)
-        # a mask is scored at its patch-centre pixels only, except by the loss
-        valid = (task == "segmentation" and entry != "loss"
+        # the contract reads every mask pixel; batch_loss's loss reads only
+        # the patch-centre pixels it scores
+        valid = (task == "segmentation" and entry == "batch_loss"
                  and not (where[1] % 4 == where[2] % 4 == 2))
     if draw(st.booleans()):
         images = list(images)  # the entry points take a Python list of images too

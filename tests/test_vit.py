@@ -12,9 +12,9 @@ def make_params(cfg, seed=0, dtype=np.float64):
     return init_params(param_shapes(cfg), seed=seed, dtype=dtype)
 
 
-def block(seq, params, prefix, cfg):
+def block(x, params, prefix, cfg):
     """One plain pre-norm block, composed as ``Model.forward`` composes it."""
-    return vit.ffn_residual(vit.attention_residual(seq, params, prefix, cfg), params, prefix)
+    return vit.ffn_residual(vit.attention_residual(x, params, prefix, cfg), params, prefix)
 
 
 def rand_seq(cfg, b, rng, dtype=np.float64, m=0):
@@ -82,25 +82,23 @@ class TestMhsa:
         rng = np.random.default_rng(11)
         params = make_params(desk_cfg, seed=2)
         x = rng.normal(size=(1, 1, 32))
-        seq = vit.TokenSequence(Tensor(x), num_prompts=0, has_cls=True, num_patches=0)
-        out = vit.mhsa(seq, params, "block0", desk_cfg)
+        out = vit.mhsa(Tensor(x), params, "block0", desk_cfg)
         v = x[0] @ params["block0.attn.wv.weight"].data + params["block0.attn.wv.bias"].data
         expected = v @ params["block0.attn.wo.weight"].data + params["block0.attn.wo.bias"].data
-        np.testing.assert_allclose(out.tokens.data[0], expected, atol=1e-10)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-10)
 
     def test_zero_query_means_uniform_attention(self, desk_cfg):
         rng = np.random.default_rng(12)
         params = make_params(desk_cfg, seed=3)
         params["block0.attn.wq.weight"].data[:] = 0.0
         params["block0.attn.wq.bias"].data[:] = 0.0
-        seq = rand_seq(desk_cfg, 1, rng)
-        out = vit.mhsa(seq, params, "block0", desk_cfg)
-        x = seq.tokens.data[0]
+        tokens = rand_seq(desk_cfg, 1, rng).tokens
+        out = vit.mhsa(tokens, params, "block0", desk_cfg)
+        x = tokens.data[0]
         v = x @ params["block0.attn.wv.weight"].data + params["block0.attn.wv.bias"].data
         expected = (v.mean(axis=0) @ params["block0.attn.wo.weight"].data
                     + params["block0.attn.wo.bias"].data)
-        np.testing.assert_allclose(out.tokens.data[0],
-                                   np.tile(expected, (seq.seq_len, 1)), atol=1e-8)
+        np.testing.assert_allclose(out.data[0], np.tile(expected, (len(x), 1)), atol=1e-8)
 
     def test_three_token_single_head_oracle(self):
         cfg = VitConfig(image_h=8, image_w=4, channels=1, patch_size=4,
@@ -108,8 +106,7 @@ class TestMhsa:
         rng = np.random.default_rng(13)
         params = make_params(cfg, seed=4)
         x = rng.normal(size=(1, 3, 6))
-        seq = vit.TokenSequence(Tensor(x), num_prompts=0, has_cls=True, num_patches=2)
-        out = vit.mhsa(seq, params, "block0", cfg)
+        out = vit.mhsa(Tensor(x), params, "block0", cfg)
 
         def lin(name, arr):
             return arr @ params[f"block0.attn.{name}.weight"].data + \
@@ -120,24 +117,23 @@ class TestMhsa:
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         attn = e / e.sum(axis=-1, keepdims=True)
         expected = lin("wo", attn @ v)
-        np.testing.assert_allclose(out.tokens.data[0], expected, atol=1e-6)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-6)
 
     def test_sequence_length_preserved(self, desk_cfg):
         rng = np.random.default_rng(14)
         params = make_params(desk_cfg)
-        seq = rand_seq(desk_cfg, 2, rng, m=3)
-        for fn in (lambda s: vit.mhsa(s, params, "block1", desk_cfg),
-                   lambda s: vit.ffn(s, params, "block1"),
-                   lambda s: block(s, params, "block1", desk_cfg)):
-            assert fn(seq).seq_len == seq.seq_len
+        tokens = rand_seq(desk_cfg, 2, rng, m=3).tokens
+        for fn in (lambda x: vit.mhsa(x, params, "block1", desk_cfg),
+                   lambda x: vit.ffn(x, params, "block1"),
+                   lambda x: block(x, params, "block1", desk_cfg)):
+            assert fn(tokens).shape == tokens.shape
 
 
 class TestFfn:
     def test_zero_input_zero_bias(self, desk_cfg):
         params = make_params(desk_cfg, seed=5)
-        seq = vit.TokenSequence(Tensor(np.zeros((1, 17, 32))), 0, True, 16)
-        out = vit.ffn(seq, params, "block2")
-        assert np.abs(out.tokens.data).max() == 0.0
+        out = vit.ffn(Tensor(np.zeros((1, 17, 32))), params, "block2")
+        assert np.abs(out.data).max() == 0.0
 
     def test_zero_w2_gives_bias(self, desk_cfg):
         rng = np.random.default_rng(15)
@@ -145,20 +141,20 @@ class TestFfn:
         params["block2.ffn.w2.weight"].data[:] = 0.0
         bias = params["block2.ffn.w2.bias"].data
         bias[:] = rng.normal(size=32)
-        out = vit.ffn(rand_seq(desk_cfg, 1, rng), params, "block2")
-        np.testing.assert_array_equal(out.tokens.data[0], np.tile(bias, (17, 1)))
+        out = vit.ffn(rand_seq(desk_cfg, 1, rng).tokens, params, "block2")
+        np.testing.assert_array_equal(out.data[0], np.tile(bias, (17, 1)))
 
     def test_scalar_composition_oracle(self, desk_cfg):
         rng = np.random.default_rng(16)
         params = make_params(desk_cfg, seed=7)
-        seq = rand_seq(desk_cfg, 1, rng)
-        out = vit.ffn(seq, params, "block0")
-        x = seq.tokens.data[0]
+        tokens = rand_seq(desk_cfg, 1, rng).tokens
+        out = vit.ffn(tokens, params, "block0")
+        x = tokens.data[0]
         from scipy.special import erf
         h = x @ params["block0.ffn.w1.weight"].data + params["block0.ffn.w1.bias"].data
         h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
         expected = h @ params["block0.ffn.w2.weight"].data + params["block0.ffn.w2.bias"].data
-        np.testing.assert_allclose(out.tokens.data[0], expected, atol=1e-8)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-8)
 
 
 class TestBlock:
@@ -168,24 +164,22 @@ class TestBlock:
             if name.startswith("block0."):
                 t.data[:] = 0.0
         rng = np.random.default_rng(17)
-        seq = rand_seq(desk_cfg, 2, rng)
-        out = block(seq, params, "block0", desk_cfg)
-        np.testing.assert_array_equal(out.tokens.data, seq.tokens.data)
+        tokens = rand_seq(desk_cfg, 2, rng).tokens
+        out = block(tokens, params, "block0", desk_cfg)
+        np.testing.assert_array_equal(out.data, tokens.data)
 
     def test_matches_composed_stage_oracle(self, desk_cfg):
         rng = np.random.default_rng(18)
         params = make_params(desk_cfg, seed=9)
         x = rng.normal(size=(1, 3, 32))
-        seq = vit.TokenSequence(Tensor(x), 0, True, 2)
-        out = block(seq, params, "block3", desk_cfg)
-        mid = vit.mhsa(seq.with_tokens(
-            T.layernorm(seq.tokens, params["block3.ln1.gamma"], params["block3.ln1.beta"])),
-            params, "block3", desk_cfg).tokens.data + x
-        mid_seq = seq.with_tokens(Tensor(mid))
-        final = vit.ffn(mid_seq.with_tokens(
-            T.layernorm(mid_seq.tokens, params["block3.ln2.gamma"], params["block3.ln2.beta"])),
-            params, "block3").tokens.data + mid
-        np.testing.assert_allclose(out.tokens.data, final, atol=1e-9)
+        out = block(Tensor(x), params, "block3", desk_cfg)
+        mid = vit.mhsa(
+            T.layernorm(Tensor(x), params["block3.ln1.gamma"], params["block3.ln1.beta"]),
+            params, "block3", desk_cfg).data + x
+        final = vit.ffn(
+            T.layernorm(Tensor(mid), params["block3.ln2.gamma"], params["block3.ln2.beta"]),
+            params, "block3").data + mid
+        np.testing.assert_allclose(out.data, final, atol=1e-9)
 
 
 class TestHeads:
