@@ -1,6 +1,8 @@
 """Shared I/O for the two little-endian binary formats (``DVPT``
-checkpoints, ``DVDS`` datasets): an atomic, durable write and a
-bounds-checked reader that turns every malformed byte into one error type.
+checkpoints, ``DVDS`` datasets): an atomic, durable write, which writes
+every file the package writes (those two and ``dvpt finetune --history``'s
+CSV), and a bounds-checked reader that turns every malformed byte into one
+error type.
 
 The reader takes header fields from the open file one by one, then reads
 a file's whole payload with one ``readinto`` into one fresh buffer; the

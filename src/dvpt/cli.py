@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import accounting, checkpoint, data as data_mod, training
-from .binfile import CorruptFileError
+from .binfile import CorruptFileError, atomic_write
 from .checkpoint import ArchitectureMismatchError
 from .config import load_config
 from .data import DatasetError
@@ -104,8 +104,7 @@ def cmd_finetune(cfg, args):
     csv = training.history_csv(history, cfg.task)
     sys.stdout.write(csv)
     if args.history:
-        with open(args.history, "w") as fh:
-            fh.write(csv)
+        atomic_write(args.history, [csv.encode()])
     checkpoint.save_trainable(args.out, model)
     print(f"saved task checkpoint to {args.out}")
     return EXIT_OK

@@ -48,37 +48,42 @@ def _check_labels(labels, num_classes):
     return labels
 
 
-def _one_hot(labels, num_classes, dtype):
+def _one_hot(labels, logits):
+    """``labels`` one-hot, shaped and typed as ``logits``; raises ContractError
+    unless they are shaped ``logits.shape[:-1]`` and ``_check_labels`` accepts them."""
+    labels, num_classes = np.asarray(labels), logits.shape[-1]
+    if labels.shape != logits.shape[:-1]:
+        raise ContractError(f"labels shaped {labels.shape} do not fit logits shaped {logits.shape}")
     labels = _check_labels(labels, num_classes)
-    out = np.zeros(labels.shape + (num_classes,), dtype=dtype)
+    out = np.zeros(logits.shape, dtype=logits.dtype)
     np.put_along_axis(out, labels[..., None], 1.0, axis=-1)
     return out
 
 
-def cross_entropy(logits, labels):
-    """Mean over the batch of -log softmax(logits)[label], via log-sum-exp."""
-    num_classes = logits.shape[-1]
-    onehot = Tensor(_one_hot(labels, num_classes, logits.dtype))
+def _mean_nll(logits, onehot):
+    """Mean over the leading axes of -log softmax(logits) at ``onehot``'s ones."""
     log_z = T.logsumexp(logits, axis=-1)
     log_probs = T.add(logits, T.scale(log_z, -1.0))
     picked = T.tsum(T.mul(log_probs, onehot), axis=-1)
     return T.scale(T.tmean(picked), -1.0)
 
 
+def cross_entropy(logits, labels):
+    """Mean over the batch of -log softmax(logits)[label], via log-sum-exp."""
+    return _mean_nll(logits, Tensor(_one_hot(labels, logits)))
+
+
 def hybrid_dice_ce(logits, masks):
     """Soft-Dice loss (smoothing 1) plus pixel cross-entropy, summed unweighted.
 
     ``logits``: [batch, ..., K] per-pixel class logits; ``masks``: integer
-    labels of the matching spatial shape.
+    labels shaped ``logits.shape[:-1]``.
     """
-    num_classes = logits.shape[-1]
-    n_pixels = int(np.prod(logits.shape[:-1]))
-    flat = T.reshape(logits, (n_pixels, num_classes))
-    labels = np.asarray(masks).reshape(n_pixels)
-    ce = cross_entropy(flat, labels)
+    onehot = Tensor(_one_hot(masks, logits).reshape(-1, logits.shape[-1]))
+    flat = T.reshape(logits, onehot.shape)
+    ce = _mean_nll(flat, onehot)
 
     probs = T.softmax(flat, axis=-1)
-    onehot = Tensor(_one_hot(labels, num_classes, logits.dtype))
     inter = T.tsum(T.mul(probs, onehot), axis=0)
     denom = T.add(T.tsum(probs, axis=0), T.tsum(onehot, axis=0))
     dice_per_class = T.div(
@@ -234,12 +239,6 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 # batching / forward helpers
 
-def reduce_mask_to_grid(masks, patch_size):
-    """Pixel-resolution masks -> patch-grid labels by patch-center sampling."""
-    half = patch_size // 2
-    return np.asarray(masks)[:, half::patch_size, half::patch_size]
-
-
 def _check_images(cfg, images):
     """The image half of the batch contract, from shapes alone: a non-empty
     (n, H, W, C) stack of ``cfg``'s geometry.  Returns its shape."""
@@ -253,30 +252,29 @@ def _check_images(cfg, images):
 
 
 def _check_batch(cfg, task, images, labels):
-    """The batch contract of evaluate, train_loop, grad_check and the CLI's
-    datasets, for a ``task`` model of config ``cfg``: every label, and every
-    mask pixel, in [0, K).  Returns the scored labels (for a mask, its
-    patch-centre pixels)."""
+    """The batch contract of every entry point that takes labels with its
+    images, for a ``task`` model of config ``cfg``: every label, and every
+    mask pixel, in [0, K).  Returns the scored labels; a mask is scored at
+    its patch-centre pixels."""
     shape, labels = _check_images(cfg, images), np.asarray(labels)
     want = shape[:1] if task == "classification" else shape[:3]
     if labels.shape != want:
         raise ContractError(f"labels must be shaped {want}, got {labels.shape}")
     labels = _check_labels(labels, cfg.num_classes)
     if task == "segmentation":
-        labels = reduce_mask_to_grid(labels, cfg.patch_size)
+        half = cfg.patch_size // 2
+        labels = labels[:, half::cfg.patch_size, half::cfg.patch_size]
     return labels
 
 
 def batch_loss(model, images, labels):
     """Forward + task loss as a Tensor (recordable on an active tape).
-    Raises ContractError on images ``_check_images`` rejects."""
-    _check_images(model.cfg, images)
-    x = Tensor(np.asarray(images, dtype=model.dtype))
-    logits = model.forward(x)
-    if model.task == "classification":
-        return cross_entropy(logits, labels)
-    grid = reduce_mask_to_grid(labels, model.cfg.patch_size)
-    return hybrid_dice_ce(logits, grid)
+    Raises ContractError, before the forward, on a batch ``_check_batch``
+    rejects."""
+    labels = _check_batch(model.cfg, model.task, images, labels)
+    logits = model.forward(Tensor(np.asarray(images, dtype=model.dtype)))
+    loss = cross_entropy if model.task == "classification" else hybrid_dice_ce
+    return loss(logits, labels)
 
 
 def predict(model, images):
@@ -323,7 +321,8 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
     tape alive: the analytic pass's tape is dropped once its backward has
     run.  Returns a dict with the max relative error and pass flag.
     Raises ContractError unless ``samples`` >= 1, ``tol`` is positive and
-    finite and ``_check_batch`` accepts the batch.
+    finite and ``_check_batch`` accepts the batch; a rejected batch leaves
+    every ``grad`` as it was.
     """
     if samples < 1:
         raise ContractError(f"grad_check samples must be >= 1, got {samples}")
@@ -331,10 +330,9 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
         raise ContractError(f"grad_check tol must be positive and finite, got {tol}")
     if model.dtype != np.float64:
         raise ContractError("grad_check requires a float64 model")
-    _check_batch(model.cfg, model.task, images, labels)
-    model.zero_grad()
     with Tape() as tape:
         loss = batch_loss(model, images, labels)
+    model.zero_grad()
     backward(loss, tape)
     del tape  # the finite-difference forwards below run untaped
 
@@ -420,13 +418,13 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
         for start in range(0, len(images), batch_size):
             idx = order[start:start + batch_size]
             model.zero_grad()
-            with np.errstate(**_OVERFLOW_CHECKED), Tape() as tape:
-                loss = batch_loss(model, images[idx], labels[idx])
             where = f"at epoch {epoch}, batch {start // batch_size}"
-            if not np.isfinite(loss.item()):
-                raise ContractError(f"non-finite loss {loss.item()} {where}{_HUGE_INPUT}")
-            trainable = model.trainable()
             with np.errstate(**_OVERFLOW_CHECKED):
+                with Tape() as tape:
+                    loss = batch_loss(model, images[idx], labels[idx])
+                if not np.isfinite(loss.item()):
+                    raise ContractError(f"non-finite loss {loss.item()} {where}{_HUGE_INPUT}")
+                trainable = model.trainable()
                 backward(loss, tape)
                 del tape  # frees the step's activations before Adam and evaluate
                 adam_step(trainable, state)

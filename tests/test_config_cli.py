@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -483,6 +484,27 @@ class TestCliWorkflow:
         assert captured.out == ""  # no report, no CSV: nothing ran
         assert captured.err.count("\n") == 1 and bad in captured.err
         assert ".tmp." not in captured.err and not unused.exists()
+
+    def test_history_that_cannot_be_renamed_into_place_keeps_its_bytes(self, workspace,
+                                                                       monkeypatch, capsys):
+        out = workspace["tmp"] / "rename_fails"
+        out.mkdir()
+        history = out / "history.csv"
+        history.write_bytes(b"previous history\n")
+        replace = os.replace
+
+        def replace_all_but_the_history(src, dst):
+            if Path(dst) == history:
+                raise OSError(errno.EIO, "rename failed", str(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_all_but_the_history)
+        code = cli.main(["finetune", "--config", workspace["ft_cfg"],
+                         "--backbone", str(workspace["backbone"]),
+                         "--history", str(history), "--out", str(out / "task.ckpt")])
+        assert code == cli.EXIT_CONFIG and "rename failed" in capsys.readouterr().err
+        assert history.read_bytes() == b"previous history\n"
+        assert os.listdir(out) == ["history.csv"]  # no temp file, no checkpoint
 
     def test_output_path_that_is_a_directory_exits_two(self, workspace, capsys):
         tmp = workspace["tmp"]

@@ -73,6 +73,11 @@ class TestCrossEntropy:
         with pytest.raises(ContractError):
             cross_entropy(Tensor(np.zeros((1, 3))), np.array([3]))
 
+    @pytest.mark.parametrize("shape", [(4, 1), (3,)])
+    def test_labels_that_do_not_fit_the_logits(self, shape):
+        with pytest.raises(ContractError, match=r"^labels shaped .* do not fit logits shaped"):
+            cross_entropy(Tensor(np.zeros((4, 5))), np.zeros(shape, int))
+
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(1)
         logits = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -115,6 +120,10 @@ class TestHybridDiceCe:
         dice = ((2 * inter + 1) / (denom + 1)).mean()
         expected = (1 - dice) + ce
         assert hybrid_dice_ce(Tensor(logits), masks).item() == pytest.approx(expected)
+
+    def test_mask_with_the_logits_pixel_count_but_not_their_shape(self):
+        with pytest.raises(ContractError, match=r"^labels shaped \(2, 2, 4\) do not fit"):
+            hybrid_dice_ce(Tensor(np.zeros((2, 4, 2, 2))), np.zeros((2, 2, 4), int))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -695,7 +704,7 @@ def test_train_loop_reports_a_frozen_zero_that_changed_sign(desk_cfg, desk_dvpt,
 
 
 # ---------------------------------------------------------------------------
-# the batch contract evaluate, train_loop and grad_check share
+# the batch contract batch_loss, evaluate, train_loop and grad_check share
 
 def _run_entry(entry, cfg, dvpt, task, images, labels):
     """Run ``entry`` on a fresh float64 dvpt model; its numbers as one array
@@ -729,6 +738,7 @@ _BROKEN_BATCHES = {  # name -> (model image H and W, images, labels)
     "3-channel images on a 1-channel model": (16, np.zeros((6, 16, 16, 3)), np.arange(6) % 5),
     "float labels": (16, np.zeros((6, 16, 16, 1)), np.arange(6) % 5 * 1.0),
     "mask labels for classification": (16, np.zeros((6, 16, 16, 1)), np.zeros((6, 16, 16), int)),
+    "labels shaped (n, 1)": (16, np.zeros((6, 16, 16, 1)), (np.arange(6) % 5)[:, None]),
 }
 
 
@@ -743,7 +753,7 @@ def test_predict_and_batch_loss_reject_images_the_model_cannot_read(desk_cfg, de
         _run_entry(entry, desk_cfg, desk_dvpt, "classification", images, labels)
 
 
-@pytest.mark.parametrize("entry", ["evaluate", "train_loop", "grad_check"])
+@pytest.mark.parametrize("entry", ["batch_loss", "evaluate", "train_loop", "grad_check"])
 @pytest.mark.parametrize("case", list(_BROKEN_BATCHES))
 def test_entry_points_reject_a_batch_that_breaks_the_contract(desk_cfg, desk_dvpt, case,
                                                               entry):
@@ -754,7 +764,7 @@ def test_entry_points_reject_a_batch_that_breaks_the_contract(desk_cfg, desk_dvp
     assert not re.match(_TAKEN, str(caught.value))
 
 
-@pytest.mark.parametrize("entry", ["evaluate", "train_loop", "grad_check"])
+@pytest.mark.parametrize("entry", ["batch_loss", "evaluate", "train_loop", "grad_check"])
 def test_entry_points_reject_a_mask_label_off_the_patch_centres(desk_cfg, desk_dvpt, entry):
     rng = np.random.default_rng(4)
     images = rng.normal(size=(2, 16, 16, 1))
@@ -786,11 +796,10 @@ def test_entry_points_give_a_finite_rerun_stable_result_or_a_contract_error(
     entry = draw(st.sampled_from(["evaluate", "train_loop", "grad_check", "predict",
                                   "batch_loss", "loss"]))
     task = draw(st.sampled_from(["classification", "segmentation"]))
-    # predict and batch_loss check only the images (batch_loss's loss checks
-    # the labels' values), and the loss only the labels
+    # predict takes no labels and checks only the images; the loss takes no
+    # images and checks only the labels
     fault = draw(st.sampled_from({
         "predict": ["none", "geometry", "empty"],
-        "batch_loss": ["none", "geometry", "empty", "dtype", "range"],
         "loss": ["none", "dtype", "range"],
     }.get(entry, ["none", "count", "geometry", "dtype", "rank", "range"])))
     n = 0 if fault == "empty" else draw(st.integers(1, 3))
@@ -813,10 +822,6 @@ def test_entry_points_give_a_finite_rerun_stable_result_or_a_contract_error(
     if fault == "range":  # one label, or one mask pixel, outside [0, 5)
         where = tuple(draw(st.integers(0, size - 1)) for size in labels.shape)
         labels[where] = np.array(draw(st.sampled_from([-1, 5, 7]))).astype(dtype)
-        # the contract reads every mask pixel; batch_loss's loss reads only
-        # the patch-centre pixels it scores
-        valid = (task == "segmentation" and entry == "batch_loss"
-                 and not (where[1] % 4 == where[2] % 4 == 2))
     if draw(st.booleans()):
         images = list(images)  # the entry points take a Python list of images too
     with warnings.catch_warnings():
