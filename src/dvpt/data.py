@@ -127,26 +127,42 @@ def synth_generate(task, count, seed, difficulty=0.3, family="a",
     return Dataset(images, labels, "segmentation", 2)
 
 
+def label_shape(task, image_shape):
+    """The label shape of ``task``'s (n, H, W, C) images: one class per
+    image, (n,), or one per pixel, (n, H, W)."""
+    return image_shape[:1] if task == "classification" else image_shape[:3]
+
+
+def check_labels(labels, shape, num_classes, error):
+    """``labels`` as an array; raises ``error(message)`` unless they are integers
+    shaped ``shape``, each in [0, num_classes).  An empty array passes."""
+    labels = np.asarray(labels)
+    if labels.shape != shape:
+        raise error(f"labels shaped {labels.shape} do not fit the label shape {shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise error(f"labels must be integers, got {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise error(f"labels outside [0, {num_classes}): range {labels.min()}..{labels.max()}")
+    return labels
+
+
 def save_dataset(path, dataset):
-    """Write a dataset file atomically (temp file, then rename)."""
+    """Write a dataset file atomically (temp file, then rename); raises
+    DatasetError, before any file exists, on data the format cannot hold."""
     images = np.ascontiguousarray(dataset.images, dtype=np.float32)
-    labels = np.ascontiguousarray(dataset.labels, dtype=np.uint16)
-    count, h, w, c = images.shape
-    if dataset.task == "classification":
-        if labels.shape != (count,):
-            raise DatasetError(f"classification labels must be [count], got {labels.shape}")
-    else:
-        if labels.shape != (count, h, w):
-            raise DatasetError(f"segmentation masks must be [count, H, W], got {labels.shape}")
-    if labels.size and labels.max() >= dataset.num_classes:
-        raise DatasetError(
-            f"label {labels.max()} outside [0, {dataset.num_classes})"
-        )
+    if images.ndim != 4:
+        raise DatasetError(f"images must be (count, H, W, C), got shape {images.shape}")
+    if dataset.task not in _TASK_TAGS:
+        raise DatasetError(f"unknown task {dataset.task!r}")
+    num_classes = dataset.num_classes  # labels in [0, num_classes) are stored as u16
+    if not (isinstance(num_classes, (int, np.integer)) and 1 <= num_classes <= 1 << 16):
+        raise DatasetError(f"num_classes must be an integer in [1, 65536], got {num_classes!r}")
+    labels = check_labels(dataset.labels, label_shape(dataset.task, images.shape),
+                          num_classes, DatasetError)
     if not np.isfinite(images).all():
         raise DatasetError("images hold a non-finite pixel")
     header = MAGIC + struct.pack(
-        "<IIIIIBI", VERSION, count, h, w, c,
-        _TASK_TAGS[dataset.task], dataset.num_classes,
+        "<IIIIIBI", VERSION, *images.shape, _TASK_TAGS[dataset.task], num_classes,
     )
     binfile.atomic_write(path, [header, images.astype("<f4").tobytes(),
                                 labels.astype("<u2").tobytes()])
@@ -162,16 +178,14 @@ def load_dataset(path):
         if tag not in _TAG_TASKS:
             raise reader.error(f"unknown task tag {tag}")
         task = _TAG_TASKS[tag]
-        label_shape = (count,) if task == "classification" else (count, h, w)
         (images, labels), _ = reader.arrays([
             ("<f4", (count, h, w, c), "images"),
-            ("<u2", label_shape, f"labels of declared count {count}"),
+            ("<u2", label_shape(task, (count, h, w, c)), f"labels of declared count {count}"),
         ])
         if reader.remaining:
             raise reader.error(f"{reader.remaining} bytes beyond declared count {count}")
         # min/max propagate NaN and find any inf with no image-sized mask
         if images.size and not (np.isfinite(images.min()) and np.isfinite(images.max())):
             raise reader.error("images hold a non-finite pixel")
-        if labels.size and labels.max() >= num_classes:
-            raise reader.error(f"label {labels.max()} outside [0, {num_classes})")
+        check_labels(labels, labels.shape, num_classes, reader.error)
     return Dataset(images, labels, task, num_classes)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .data import check_labels, label_shape
 from .tensor import Tape, Tensor, backward
 from .vit import ConfigError
 
@@ -36,25 +37,12 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc'
 # ---------------------------------------------------------------------------
 # losses
 
-def _check_labels(labels, num_classes):
-    """``labels`` as an array; raises ContractError unless they are integers
-    that all lie in [0, K)."""
-    labels = np.asarray(labels)
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ContractError(f"labels must be integers, got {labels.dtype}")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ContractError(
-            f"labels outside [0, {num_classes}): range {labels.min()}..{labels.max()}")
-    return labels
-
-
 def _one_hot(labels, logits):
-    """``labels`` one-hot, shaped and typed as ``logits``; raises ContractError
-    unless they are shaped ``logits.shape[:-1]`` and ``_check_labels`` accepts them."""
-    labels, num_classes = np.asarray(labels), logits.shape[-1]
-    if labels.shape != logits.shape[:-1]:
-        raise ContractError(f"labels shaped {labels.shape} do not fit logits shaped {logits.shape}")
-    labels = _check_labels(labels, num_classes)
+    """``labels`` one-hot, shaped and typed as ``logits``; raises ContractError on
+    an empty batch or unless ``check_labels`` accepts them shaped ``logits.shape[:-1]``."""
+    labels = check_labels(labels, logits.shape[:-1], logits.shape[-1], ContractError)
+    if not labels.size:
+        raise ContractError(f"empty batch: logits shaped {logits.shape}")
     out = np.zeros(logits.shape, dtype=logits.dtype)
     np.put_along_axis(out, labels[..., None], 1.0, axis=-1)
     return out
@@ -256,11 +244,8 @@ def _check_batch(cfg, task, images, labels):
     images, for a ``task`` model of config ``cfg``: every label, and every
     mask pixel, in [0, K).  Returns the scored labels; a mask is scored at
     its patch-centre pixels."""
-    shape, labels = _check_images(cfg, images), np.asarray(labels)
-    want = shape[:1] if task == "classification" else shape[:3]
-    if labels.shape != want:
-        raise ContractError(f"labels must be shaped {want}, got {labels.shape}")
-    labels = _check_labels(labels, cfg.num_classes)
+    shape = _check_images(cfg, images)
+    labels = check_labels(labels, label_shape(task, shape), cfg.num_classes, ContractError)
     if task == "segmentation":
         half = cfg.patch_size // 2
         labels = labels[:, half::cfg.patch_size, half::cfg.patch_size]

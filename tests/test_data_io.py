@@ -1,5 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dvpt import data as D
 from dvpt.checkpoint import (ArchitectureMismatchError, CorruptCheckpointError,
@@ -118,6 +124,81 @@ class TestDatasetFile:
     def test_no_temp_file_left_behind(self, tmp_path):
         save_dataset(tmp_path / "c.dvds", synth_generate("classification", 2, seed=20))
         assert [p.name for p in tmp_path.iterdir()] == ["c.dvds"]
+
+
+_UNSAVABLE = {  # name -> (images shape, labels, task, num_classes, message)
+    "float labels": ((2, 2, 2, 1), np.array([0.5, 1.7]), "classification", 5,
+                     r"^labels must be integers"),
+    "negative labels": ((2, 2, 2, 1), np.array([-65535, 1]), "classification", 5,
+                        r"^labels outside \[0, 5\): range -65535\.\.1$"),
+    "labels past u16": ((2, 2, 2, 1), np.array([65537, 0]), "classification", 5,
+                        r"^labels outside \[0, 5\): range 0\.\.65537$"),
+    "unknown task, mask labels": ((2, 2, 2, 1), np.zeros((2, 2, 2), int), "ranking", 5,
+                                  r"^unknown task 'ranking'$"),
+    "unknown task, one label per image": ((2, 2, 2, 1), np.zeros(2, int), "ranking", 5,
+                                          r"^unknown task 'ranking'$"),
+    "3-D images": ((2, 2, 2), np.zeros(2, int), "classification", 5,
+                   r"^images must be \(count, H, W, C\)"),
+    "num_classes 2**33": ((2, 2, 2, 1), np.zeros(2, int), "classification", 2 ** 33,
+                          r"^num_classes must be an integer in \[1, 65536\]"),
+    "num_classes above 2**16": ((2, 2, 2, 1), np.array([65536, 0]), "classification",
+                                2 ** 16 + 1, r"^num_classes must be an integer in \[1, 65536\]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNSAVABLE))
+def test_save_rejects_what_the_format_cannot_hold_before_any_file_exists(tmp_path, case):
+    shape, labels, task, num_classes, message = _UNSAVABLE[case]
+    ds = Dataset(np.zeros(shape, np.float32), labels, task, num_classes)
+    with pytest.raises(DatasetError, match=message):
+        save_dataset(tmp_path / "x.dvds", ds)
+    assert os.listdir(tmp_path) == []
+
+
+_LABEL_KINDS = ["valid", "negative", "float", "at least K", "at least 2**16"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_dataset_reads_back_unchanged_or_is_not_saved(tmp_path, data):
+    draw = data.draw
+    task = draw(st.sampled_from(["classification", "segmentation"]))
+    num_classes = draw(st.sampled_from([1, 5, 2 ** 16, 2 ** 16 + 1, 2 ** 33]))
+    shape = (draw(st.integers(0, 3)),) + tuple(draw(st.integers(1, 3)) for _ in range(3))
+    images = draw(hnp.arrays(np.float32, shape, elements=st.floats(
+        width=32, allow_nan=False, allow_infinity=False)))
+    labels = draw(hnp.arrays(np.int64, D.label_shape(task, shape),
+                             elements=st.integers(0, num_classes - 1)))
+    kind = draw(st.sampled_from(_LABEL_KINDS))
+    if kind == "float":
+        labels = labels + draw(st.sampled_from([0.0, 0.5]))
+    elif kind != "valid" and labels.size:
+        where = draw(st.integers(0, labels.size - 1))
+        labels.ravel()[where] = draw({
+            "negative": st.integers(-2 ** 33, -1),
+            "at least K": st.integers(num_classes, num_classes + 2 ** 17),
+            "at least 2**16": st.integers(2 ** 16, 2 ** 16 + 2 ** 17),
+        }[kind])
+    in_range = labels.size == 0 or 0 <= labels.min() <= labels.max() < num_classes
+    savable = num_classes <= 2 ** 16 and labels.dtype == np.int64 and in_range
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        path = os.path.join(tmp, "d.dvds")
+        with open(path, "wb") as fh:
+            fh.write(b"old")
+        try:
+            save_dataset(path, Dataset(images, labels, task, num_classes))
+        except DatasetError:
+            assert not savable
+            assert os.listdir(tmp) == ["d.dvds"]
+            with open(path, "rb") as fh:
+                assert fh.read() == b"old"
+            return
+        assert savable
+        back = load_dataset(path)
+    assert back.task == task and back.num_classes == num_classes
+    assert back.images.dtype == np.float32 and np.array_equal(back.images, images)
+    assert back.labels.shape == labels.shape and (back.labels == labels).all()
 
 
 class TestCheckpointFile:

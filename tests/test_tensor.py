@@ -142,6 +142,16 @@ class TestBackward:
         assert np.array_equal(x.grad, 2.0 * once[0])
         assert np.array_equal(w.grad, 2.0 * once[1])
 
+    def test_node_the_loss_does_not_read_is_skipped(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        calls = []
+        with Tape() as tape:
+            tape.record((x,), Tensor(np.zeros(2)), lambda og: calls.append(og) or (og,))
+            loss = T.tsum(T.scale(x, 3.0))
+        backward(loss, tape)
+        assert len(tape) == 3 and calls == []
+        assert np.array_equal(x.grad, [3.0, 3.0])
+
     def test_reused_operand_accumulates(self):
         x = t64([2.0], requires_grad=True)
         with Tape() as tape:

@@ -75,7 +75,8 @@ class TestCrossEntropy:
 
     @pytest.mark.parametrize("shape", [(4, 1), (3,)])
     def test_labels_that_do_not_fit_the_logits(self, shape):
-        with pytest.raises(ContractError, match=r"^labels shaped .* do not fit logits shaped"):
+        want = re.escape(f"labels shaped {shape} do not fit the label shape (4,)")
+        with pytest.raises(ContractError, match=f"^{want}$"):
             cross_entropy(Tensor(np.zeros((4, 5))), np.zeros(shape, int))
 
     def test_gradient_vs_finite_differences(self):
@@ -135,6 +136,17 @@ class TestHybridDiceCe:
         fd = finite_diff(lambda: hybrid_dice_ce(Tensor(logits.data), masks).item(),
                          logits.data)
         assert rel_err(logits.grad, fd, floor=1e-6).max() < 1e-4
+
+
+@pytest.mark.parametrize("loss, logits_shape", [
+    (cross_entropy, (0, 5)), (hybrid_dice_ce, (0, 4, 4, 2)), (hybrid_dice_ce, (2, 0, 4, 2)),
+])
+def test_losses_reject_an_empty_batch_before_recording_a_node(loss, logits_shape):
+    logits = Tensor(np.zeros(logits_shape), requires_grad=True)
+    with Tape() as tape:
+        with pytest.raises(ContractError, match=r"^empty batch: logits shaped "):
+            loss(logits, np.zeros(logits_shape[:-1], int))
+    assert len(tape) == 0
 
 
 class TestAdam:
