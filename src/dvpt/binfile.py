@@ -5,19 +5,25 @@ CSV), and a bounds-checked reader that turns every malformed byte into one
 error type.
 
 The reader takes header fields from the open file one by one, then reads
-a file's whole payload with one ``readinto`` into one fresh buffer; the
+a file's whole payload in ``CHUNK``-byte reads into one fresh buffer; the
 loaded arrays are views of that buffer, so a loader holds one copy of the
 payload at a time, and keeping any one loaded array alive keeps the whole
-buffer alive.
+buffer alive.  A checkpoint's CRC32 is computed while its payload is read:
+on a worker thread, one chunk behind the read, when the payload spans more
+than one chunk, and on the caller's thread after its one read otherwise.
 """
 
 import math
 import os
+import queue
 import struct
+import threading
+import zlib
 
 import numpy as np
 
 ALIGN = 64  # byte boundary the payload buffer starts on
+CHUNK = 16 * 2 ** 20  # bytes per payload read; a larger payload is checked on a worker
 
 
 class CorruptFileError(ValueError):
@@ -103,9 +109,10 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise self.error(f"{what} is not UTF-8 ({exc})") from None
 
-    def arrays(self, entries):
+    def arrays(self, entries, crc=False):
         """Writable arrays for ``[(dtype, shape, what), ...]``, read from
-        the next bytes in order, and the buffer they are views of.
+        the next bytes in order, and the CRC32 of those bytes if ``crc``
+        (else None).
 
         Every entry is bounds-checked before anything is allocated, so a
         truncated file names its first incomplete entry.  The buffer
@@ -126,10 +133,65 @@ class Reader:
         raw = np.empty(total + ALIGN - 1, np.uint8)
         skip = -raw.ctypes.data % ALIGN
         buf = raw[skip:skip + total]
-        got = self.fh.readinto(buf)
-        if got != total:
-            raise self._short("payload", got, total)
+        if crc and total > CHUNK:
+            digest = _crc32_behind(self._read_chunks(buf))
+        else:
+            for _ in self._read_chunks(buf):
+                pass
+            digest = zlib.crc32(buf) if crc else None
         self.offset = end
         views = [buf[start:start + nbytes].view(dtype).reshape(shape)
                  for dtype, shape, start, nbytes in spans]
-        return views, buf
+        return views, digest
+
+    def _read_chunks(self, buf):
+        """Fill ``buf`` from the file ``CHUNK`` bytes at a time, yielding
+        each chunk once it is read."""
+        total = len(buf)
+        for start in range(0, total, CHUNK):
+            chunk = buf[start:start + CHUNK]
+            got = self.fh.readinto(chunk)
+            if got != len(chunk):
+                raise self._short("payload", start + got, total)
+            yield chunk
+
+
+def _crc32_behind(chunks):
+    """The CRC32 of the chunks ``chunks`` yields, each computed on a worker
+    thread while the caller takes the next one; the worker is joined
+    before this returns or raises, and an exception it raised is raised
+    here."""
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+    worker = threading.Thread(target=_crc32_worker, args=(todo, done), name="dvpt-crc32")
+    worker.start()
+    crc, pending = 0, False
+    try:
+        for chunk in chunks:
+            if pending:  # the previous chunk's CRC, so at most one chunk waits
+                crc = _result(done.get())
+            todo.put(chunk)
+            pending = True
+        if pending:
+            crc = _result(done.get())
+    finally:
+        todo.put(None)
+        worker.join()
+    return crc
+
+
+def _crc32_worker(todo, done):
+    """Put the running CRC32 after each chunk taken from ``todo`` until it
+    hands over None, or put the exception that stopped it."""
+    crc = 0
+    try:
+        while (chunk := todo.get()) is not None:
+            crc = zlib.crc32(chunk, crc)
+            done.put(crc)
+    except BaseException as exc:  # handed to the caller, which raises it
+        done.put(exc)
+
+
+def _result(item):
+    if isinstance(item, BaseException):
+        raise item
+    return item

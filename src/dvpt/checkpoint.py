@@ -83,12 +83,12 @@ def load_checkpoint(path):
             if tag not in _TAG_DTYPES:
                 raise reader.error(f"unknown dtype tag {tag}")
             entries.append((name, tuple(shape), _TAG_DTYPES[tag]))
-        arrays, payload = reader.arrays(
-            [(dtype, shape, f"tensor {name!r}") for name, shape, dtype in entries])
+        arrays, payload_crc = reader.arrays(
+            [(dtype, shape, f"tensor {name!r}") for name, shape, dtype in entries], crc=True)
         (crc,) = reader.unpack("I", "CRC trailer")
         if reader.remaining:
             raise reader.error(f"{reader.remaining} trailing bytes")
-        if zlib.crc32(payload) != crc:
+        if payload_crc != crc:
             raise reader.error("payload CRC mismatch")
     return {name: arr for (name, _, _), arr in zip(entries, arrays)}
 

@@ -149,7 +149,12 @@ def check_labels(labels, shape, num_classes, error):
 def save_dataset(path, dataset):
     """Write a dataset file atomically (temp file, then rename); raises
     DatasetError, before any file exists, on data the format cannot hold."""
-    images = np.ascontiguousarray(dataset.images, dtype=np.float32)
+    try:
+        with np.errstate(over="raise"):  # a finite pixel float32 cannot hold
+            images = np.ascontiguousarray(dataset.images, dtype=np.float32)
+    except FloatingPointError:
+        raise DatasetError("images hold a pixel outside float32's range "
+                           f"(magnitude above {np.finfo(np.float32).max:.8g})") from None
     if images.ndim != 4:
         raise DatasetError(f"images must be (count, H, W, C), got shape {images.shape}")
     if dataset.task not in _TASK_TAGS:

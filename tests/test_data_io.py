@@ -1,5 +1,6 @@
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,24 @@ def test_save_rejects_what_the_format_cannot_hold_before_any_file_exists(tmp_pat
     ds = Dataset(np.zeros(shape, np.float32), labels, task, num_classes)
     with pytest.raises(DatasetError, match=message):
         save_dataset(tmp_path / "x.dvds", ds)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("pixel, message", [
+    (1e300, r"^images hold a pixel outside float32's range \(magnitude above 3\.4028235e\+38\)$"),
+    (-3.5e38, r"^images hold a pixel outside float32's range"),
+    (np.inf, r"^images hold a non-finite pixel$"),
+    (np.nan, r"^images hold a non-finite pixel$"),
+], ids=["1e300", "-3.5e38", "inf", "nan"])
+def test_save_rejects_a_pixel_float32_cannot_hold_with_no_warning(tmp_path, pixel, message):
+    images = np.zeros((2, 2, 2, 1))  # float64, so 1e300 is finite until the cast
+    images[1, 0, 1, 0] = pixel
+    ds = Dataset(images, np.zeros(2, int), "classification", 5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DatasetError, match=message):
+            save_dataset(tmp_path / "x.dvds", ds)
+    assert [str(w.message) for w in caught] == []
     assert os.listdir(tmp_path) == []
 
 

@@ -1,5 +1,6 @@
-"""The loaders' read path (one read into one 64-byte-aligned buffer per
-file, views of it for the arrays), the arrays a checkpoint load hands to
+"""The loaders' read path (chunked reads into one 64-byte-aligned buffer
+per file, views of it for the arrays, a checkpoint's CRC computed one chunk
+behind the read on a worker thread), the arrays a checkpoint load hands to
 the model as they are, and the truncated-normal initializer, whose draws
 wait for the first read of a weight so that a loaded backbone is never
 drawn."""
@@ -9,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 import zlib
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -274,7 +276,7 @@ def traced_peak(load, path):
     return result, peak
 
 
-def test_checkpoint_load_holds_one_copy_of_the_payload(tmp_path):
+def assert_checkpoint_load_holds_one_copy_of_the_payload(tmp_path):
     rng = np.random.default_rng(7)
     tensors = {"w": rng.normal(size=(1024, 1024)), "v": np.ones(1000, np.float32)}
     path = tmp_path / "big.ckpt"
@@ -283,6 +285,16 @@ def test_checkpoint_load_holds_one_copy_of_the_payload(tmp_path):
     loaded, peak = traced_peak(load_checkpoint, path)
     assert loaded["w"].tobytes() == tensors["w"].tobytes()
     assert peak <= payload + MIB, (peak / MIB, payload / MIB)
+
+
+def test_checkpoint_load_holds_one_copy_of_the_payload(tmp_path):
+    assert_checkpoint_load_holds_one_copy_of_the_payload(tmp_path)
+
+
+def test_checkpoint_load_in_chunks_holds_one_copy_of_the_payload(tmp_path, monkeypatch):
+    # tracemalloc sees the worker thread too; 2048 chunks of 4 KiB keep it quick
+    monkeypatch.setattr(binfile, "CHUNK", 4096)
+    assert_checkpoint_load_holds_one_copy_of_the_payload(tmp_path)
 
 
 def test_checkpoint_save_copies_none_of_the_payload(tmp_path):
@@ -390,10 +402,12 @@ def opened(monkeypatch):
 
 class ShortRead:
     """A file whose ``method`` returns one byte fewer than asked for, as a
-    file shrinking under the reader would; the magic still reads whole."""
+    file shrinking under the reader would; the magic still reads whole, and
+    readinto reads whole until its call number ``short_from``."""
 
-    def __init__(self, fh, method):
+    def __init__(self, fh, method, short_from=1):
         self._fh, self._method, self._reads = fh, method, 0
+        self._readintos, self._short_from = 0, short_from
 
     def __getattr__(self, name):
         return getattr(self._fh, name)
@@ -405,7 +419,9 @@ class ShortRead:
 
     def readinto(self, buf):
         view = memoryview(buf)
-        return self._fh.readinto(view[:-1] if self._method == "readinto" else view)
+        self._readintos += 1
+        short = self._method == "readinto" and self._readintos >= self._short_from
+        return self._fh.readinto(view[:-1] if short else view)
 
 
 def _sample_files(tmp_path):
@@ -469,3 +485,205 @@ def test_loaders_close_their_file_on_success_and_on_every_corrupt_error(tmp_path
             with pytest.raises(error):
                 load(path)
             assert opened and all(fh.closed for fh in opened), (path.name, name)
+
+
+# ---------------------------------------------------------------------------
+# chunked payload reads and the CRC worker
+
+SMALL_CHUNK = 64  # bytes, so that desk-sized payloads span several chunks
+# payload sizes at and around the first four chunk boundaries
+_BYTE_SIZES = [0, 1] + [k * SMALL_CHUNK + d for k in range(1, 5) for d in (-1, 0, 1)]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(binfile, "CHUNK", SMALL_CHUNK)
+
+
+def record_threads(mp):
+    """Every thread started through ``threading.Thread`` from here on."""
+    started = []
+    thread = threading.Thread
+
+    def recording_thread(*args, **kwargs):
+        started.append(thread(*args, **kwargs))
+        return started[-1]
+
+    mp.setattr(threading, "Thread", recording_thread)
+    return started
+
+
+def record_crcs(mp):
+    """The CRC each ``Reader.arrays`` call returns from here on."""
+    crcs = []
+    arrays = binfile.Reader.arrays
+
+    def recording_arrays(self, *args, **kwargs):
+        views, crc = arrays(self, *args, **kwargs)
+        crcs.append(crc)
+        return views, crc
+
+    mp.setattr(binfile.Reader, "arrays", recording_arrays)
+    return crcs
+
+
+@pytest.mark.parametrize("nbytes", _BYTE_SIZES)
+def test_a_payload_of_any_size_reads_in_chunks_with_its_crc(tmp_path, small_chunks, nbytes):
+    payload = np.random.default_rng(nbytes).bytes(nbytes)
+    path = tmp_path / "raw"
+    path.write_bytes(b"TEST" + payload)
+    with binfile.Reader(path, b"TEST", binfile.CorruptFileError) as reader:
+        (arr,), crc = reader.arrays([(np.uint8, (nbytes,), "bytes")], crc=True)
+        (_, plain), no_crc = reader.arrays([(np.uint8, (0,), "none"), (np.uint8, (0,), "none")])
+    assert arr.tobytes() == payload and crc == zlib.crc32(payload)
+    assert plain.size == 0 and no_crc is None
+
+
+# a checkpoint payload is whole float32 scalars, so its sizes step by 4 bytes
+_SCALAR_COUNTS = [0, 1] + [k * SMALL_CHUNK // 4 + d for k in range(1, 5) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(count=st.sampled_from(_SCALAR_COUNTS), data=st.data())
+def test_a_checkpoint_round_trips_through_chunked_reads(tmp_path, count, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=2), label="cuts"))
+    values = np.random.default_rng(count).normal(size=count).astype(np.float32)
+    tensors = {name: part for name, part in zip("abc", np.split(values, cuts))}
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, tensors)
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binfile, "CHUNK", SMALL_CHUNK)
+        started, crcs = record_threads(mp), record_crcs(mp)
+        loaded = load_checkpoint(path)
+    assert threading.active_count() == before
+    assert len(started) == (4 * count > SMALL_CHUNK)  # a worker only past one chunk
+    assert crcs == [zlib.crc32(values)]
+    assert {name: arr.tobytes() for name, arr in loaded.items()} == {
+        name: arr.tobytes() for name, arr in tensors.items()}
+
+
+def _chunked_checkpoint(tmp_path):
+    """A checkpoint whose 400-byte payload spans 7 small chunks, and the
+    offset its payload starts at."""
+    path = tmp_path / "chunked.ckpt"
+    save_checkpoint(path, {"w": np.arange(100, dtype=np.float32)})
+    return path, path.stat().st_size - 400 - 4
+
+
+def test_a_short_read_in_a_later_chunk_is_corrupt(tmp_path, monkeypatch, small_chunks):
+    path, offset = _chunked_checkpoint(tmp_path)
+    files = []
+
+    def short_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return ShortRead(files[-1], "readinto", short_from=3)
+
+    monkeypatch.setattr(binfile, "open", short_open, raising=False)
+    before = threading.active_count()
+    with pytest.raises(CorruptCheckpointError,
+                       match=f"truncated payload: read 191 of 400 bytes at offset {offset}$"):
+        load_checkpoint(path)
+    assert threading.active_count() == before
+    assert len(files) == 1 and files[0].closed
+
+
+def test_a_flipped_byte_in_the_last_chunk_fails_the_crc(tmp_path, opened, small_chunks):
+    path, _ = _chunked_checkpoint(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[-5] ^= 0x01  # last payload byte
+    path.write_bytes(bytes(blob))
+    del opened[:]
+    before = threading.active_count()
+    with pytest.raises(CorruptCheckpointError, match="payload CRC mismatch$"):
+        load_checkpoint(path)
+    assert threading.active_count() == before
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_an_error_on_the_crc_worker_reaches_the_caller(tmp_path, monkeypatch, opened,
+                                                       small_chunks):
+    path, _ = _chunked_checkpoint(tmp_path)
+    crc32 = zlib.crc32
+
+    def failing_off_the_main_thread(data, value=0):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("no memory on the worker")
+        return crc32(data, value)
+
+    monkeypatch.setattr(zlib, "crc32", failing_off_the_main_thread)
+    del opened[:]
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no memory on the worker"):
+        load_checkpoint(path)
+    assert threading.active_count() == before
+    assert len(opened) == 1 and opened[0].closed
+
+
+class InterruptedRead:
+    """A file whose readinto call number ``at`` raises KeyboardInterrupt,
+    as Ctrl-C during a load would."""
+
+    def __init__(self, fh, at):
+        self._fh, self._at, self._calls = fh, at, 0
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def readinto(self, buf):
+        self._calls += 1
+        if self._calls == self._at:
+            raise KeyboardInterrupt
+        return self._fh.readinto(buf)
+
+
+def test_an_interrupted_load_joins_its_worker_and_closes_the_file(tmp_path, monkeypatch,
+                                                                   small_chunks):
+    path, _ = _chunked_checkpoint(tmp_path)
+    files = []
+
+    def interrupting_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return InterruptedRead(files[-1], at=4)
+
+    monkeypatch.setattr(binfile, "open", interrupting_open, raising=False)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        load_checkpoint(path)
+    assert threading.active_count() == before
+    assert len(files) == 1 and files[0].closed
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a load started a thread")
+
+
+@pytest.mark.parametrize("chunk, count", [(None, 1000), (SMALL_CHUNK, SMALL_CHUNK // 4)],
+                         ids=["default chunk", "exactly one small chunk"])
+def test_a_one_chunk_checkpoint_load_starts_no_thread(tmp_path, monkeypatch, chunk, count):
+    if chunk:
+        monkeypatch.setattr(binfile, "CHUNK", chunk)
+    path = tmp_path / "one.ckpt"
+    values = np.arange(count, dtype=np.float32)
+    save_checkpoint(path, {"w": values})
+    monkeypatch.setattr(threading, "Thread", _no_thread)
+    assert load_checkpoint(path)["w"].tobytes() == values.tobytes()
+
+
+def test_a_dataset_load_computes_no_crc_and_starts_no_thread(tmp_path, monkeypatch,
+                                                            small_chunks):
+    rng = np.random.default_rng(11)
+    ds = Dataset(rng.normal(size=(4, 4, 4, 1)).astype(np.float32),
+                 np.array([0, 1, 2, 1]), "classification", 3)
+    path = tmp_path / "multi.dvds"  # a 264-byte payload: 5 small chunks
+    save_dataset(path, ds)
+
+    def no_crc(*args):
+        raise AssertionError("a dataset load computed a CRC")
+
+    monkeypatch.setattr(threading, "Thread", _no_thread)
+    monkeypatch.setattr(zlib, "crc32", no_crc)
+    back = load_dataset(path)
+    assert back.images.tobytes() == ds.images.tobytes()
+    assert back.labels.tolist() == ds.labels.tolist()
