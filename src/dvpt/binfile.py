@@ -112,7 +112,9 @@ class Reader:
     def arrays(self, entries, crc=False):
         """Writable arrays for ``[(dtype, shape, what), ...]``, read from
         the next bytes in order, and the CRC32 of those bytes if ``crc``
-        (else None).
+        (else None).  A payload of more than one ``CHUNK`` is hashed on a
+        worker thread one chunk behind the read; a smaller one on this
+        thread after its one read.
 
         Every entry is bounds-checked before anything is allocated, so a
         truncated file names its first incomplete entry.  The buffer
@@ -192,6 +194,7 @@ def _crc32_worker(todo, done):
 
 
 def _result(item):
+    """``item``, unless it is the worker's exception, which is raised."""
     if isinstance(item, BaseException):
         raise item
     return item
