@@ -1,16 +1,17 @@
-"""Shared I/O for the two little-endian binary formats (``DVPT``
-checkpoints, ``DVDS`` datasets): an atomic, durable write, which writes
-every file the package writes (those two and ``dvpt finetune --history``'s
-CSV), and a bounds-checked reader that turns every malformed byte into one
-error type.
+"""The little-endian binary container both file formats share (``DVPT``
+checkpoints, ``DVDS`` datasets), written by ``write`` and read by
+``Reader`` alone: magic | u32 version | header | payload | optional u32
+CRC32 of the payload | end of file.  A format module states only its
+header fields and its payload's arrays.  ``atomic_write``, under
+``write``, also writes ``dvpt finetune --history``'s CSV.
 
-The reader takes header fields from the open file one by one, then reads
-a file's whole payload in ``CHUNK``-byte reads into one fresh buffer; the
-loaded arrays are views of that buffer, so a loader holds one copy of the
-payload at a time, and keeping any one loaded array alive keeps the whole
-buffer alive.  A checkpoint's CRC32 is computed while its payload is read:
-on a worker thread, one chunk behind the read, when the payload spans more
-than one chunk, and on the caller's thread after its one read otherwise.
+The reader takes header fields one by one and turns every malformed byte
+into one error type.  Its last read, ``Reader.arrays``, reads the payload
+in ``CHUNK``-byte reads into one fresh buffer whose views are the loaded
+arrays (so a loader holds one copy of the payload, and any one loaded
+array keeps the whole buffer alive), then checks the CRC trailer and the
+end of file.  A worker thread hashes a payload of more than one chunk as
+its chunks are read, and the read never waits for it.
 """
 
 import math
@@ -23,7 +24,7 @@ import zlib
 import numpy as np
 
 ALIGN = 64  # byte boundary the payload buffer starts on
-CHUNK = 16 * 2 ** 20  # bytes per payload read; a larger payload is checked on a worker
+CHUNK = 16 * 2 ** 20  # bytes per payload read; a larger payload is hashed on a worker
 
 
 class CorruptFileError(ValueError):
@@ -46,16 +47,33 @@ def atomic_write(path, chunks):
             os.unlink(tmp)
 
 
+def write(path, magic, version, header, arrays, crc=False):
+    """Write the container atomically: ``header`` is bytes, and the payload
+    is ``arrays``, little-endian and row-major, in order.  An array that is
+    already both is written as it is, and the CRC streams over the arrays,
+    so no byte of such a payload is copied."""
+    payload = [arr.astype(arr.dtype.newbyteorder("<"), order="C", copy=False)
+               for arr in map(np.asarray, arrays)]
+    trailer = []
+    if crc:
+        digest = 0
+        for arr in payload:
+            digest = zlib.crc32(arr, digest)
+        trailer.append(struct.pack("<I", digest))
+    atomic_write(path, [magic, struct.pack("<I", version), header, *payload, *trailer])
+
+
 class Reader:
     """Sequential little-endian reads from a file that starts with
-    ``magic``; a context manager that closes the file on exit.
+    ``magic`` and ``version``; a context manager that closes the file on
+    exit.
 
     Every read is checked against the file's size and against the bytes
     the read returned, and raises ``error`` (a CorruptFileError subclass)
     naming the file, never ``struct.error``.
     """
 
-    def __init__(self, path, magic, error):
+    def __init__(self, path, magic, version, error):
         self.path, self.error_type = path, error
         self.fh = open(path, "rb")
         try:
@@ -64,6 +82,9 @@ class Reader:
             self.offset = len(found)
             if found != magic:
                 raise self.error(f"bad magic {found!r}")
+            (found,) = self.unpack("I")
+            if found != version:
+                raise self.error(f"unsupported version {found}")
         except BaseException:
             self.fh.close()
             raise
@@ -73,10 +94,6 @@ class Reader:
 
     def __exit__(self, *exc_info):
         self.fh.close()
-
-    @property
-    def remaining(self):
-        return self.size - self.offset
 
     def error(self, message):
         return self.error_type(f"{self.path}: {message}")
@@ -111,10 +128,11 @@ class Reader:
 
     def arrays(self, entries, crc=False):
         """Writable arrays for ``[(dtype, shape, what), ...]``, read from
-        the next bytes in order, and the CRC32 of those bytes if ``crc``
-        (else None).  A payload of more than one ``CHUNK`` is hashed on a
-        worker thread one chunk behind the read; a smaller one on this
-        thread after its one read.
+        the payload in order; the file's last read.  With ``crc``, the
+        CRC32 trailer that follows must match the payload before any array
+        is returned; then the file must end.  A payload with a CRC that
+        spans more than one ``CHUNK`` is hashed on a worker thread as its
+        chunks are read, and the read never waits for it.
 
         Every entry is bounds-checked before anything is allocated, so a
         truncated file names its first incomplete entry.  The buffer
@@ -142,9 +160,14 @@ class Reader:
                 pass
             digest = zlib.crc32(buf) if crc else None
         self.offset = end
-        views = [buf[start:start + nbytes].view(dtype).reshape(shape)
-                 for dtype, shape, start, nbytes in spans]
-        return views, digest
+        if crc:
+            (stored,) = self.unpack("I", "CRC trailer")
+        if self.size > self.offset:
+            raise self.error(f"{self.size - self.offset} trailing bytes")
+        if crc and stored != digest:
+            raise self.error("payload CRC mismatch")
+        return [buf[start:start + nbytes].view(dtype).reshape(shape)
+                for dtype, shape, start, nbytes in spans]
 
     def _read_chunks(self, buf):
         """Fill ``buf`` from the file ``CHUNK`` bytes at a time, yielding
@@ -159,42 +182,28 @@ class Reader:
 
 
 def _crc32_behind(chunks):
-    """The CRC32 of the chunks ``chunks`` yields, each computed on a worker
-    thread while the caller takes the next one; the worker is joined
-    before this returns or raises, and an exception it raised is raised
-    here."""
-    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
-    worker = threading.Thread(target=_crc32_worker, args=(todo, done), name="dvpt-crc32")
+    """The CRC32 of the chunks ``chunks`` yields, hashed on a worker thread
+    as they are yielded; the worker is joined before this returns or
+    raises, and an exception it raised is raised here."""
+    todo, result = queue.SimpleQueue(), []
+
+    def hash_chunks():
+        try:
+            crc = 0
+            while (chunk := todo.get()) is not None:
+                crc = zlib.crc32(chunk, crc)
+            result.append(crc)
+        except BaseException as exc:  # handed to the caller, which raises it
+            result.append(exc)
+
+    worker = threading.Thread(target=hash_chunks, name="dvpt-crc32")
     worker.start()
-    crc, pending = 0, False
     try:
         for chunk in chunks:
-            if pending:  # the previous chunk's CRC, so at most one chunk waits
-                crc = _result(done.get())
             todo.put(chunk)
-            pending = True
-        if pending:
-            crc = _result(done.get())
     finally:
         todo.put(None)
         worker.join()
-    return crc
-
-
-def _crc32_worker(todo, done):
-    """Put the running CRC32 after each chunk taken from ``todo`` until it
-    hands over None, or put the exception that stopped it."""
-    crc = 0
-    try:
-        while (chunk := todo.get()) is not None:
-            crc = zlib.crc32(chunk, crc)
-            done.put(crc)
-    except BaseException as exc:  # handed to the caller, which raises it
-        done.put(exc)
-
-
-def _result(item):
-    """``item``, unless it is the worker's exception, which is raised."""
-    if isinstance(item, BaseException):
-        raise item
-    return item
+    if isinstance(result[0], BaseException):
+        raise result[0]
+    return result[0]

@@ -16,7 +16,6 @@ full_finetune policy.
 """
 
 import struct
-import zlib
 
 import numpy as np
 
@@ -25,8 +24,7 @@ from . import model as model_mod
 
 MAGIC = b"DVPT"
 VERSION = 1
-_DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))  # indexed by dtype tag
 
 
 class CorruptCheckpointError(binfile.CorruptFileError):
@@ -38,27 +36,25 @@ class ArchitectureMismatchError(ValueError):
 
 
 def save_checkpoint(path, tensors):
-    """Write name -> array (or Tensor) entries atomically."""
+    """Write name -> array (or Tensor) entries atomically; raises
+    ValueError, before any file exists, on an entry the format cannot hold."""
     arrays = {}
     for name, value in tensors.items():
         arr = np.asarray(getattr(value, "data", value))
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        if arr.dtype not in _DTYPE_TAGS:
+        if arr.dtype not in _DTYPES:
             raise ValueError(f"{name}: unsupported dtype {arr.dtype}")
         arrays[name] = arr
     names = sorted(arrays)
-    header = [MAGIC, struct.pack("<II", VERSION, len(names))]
-    payload = []
-    crc = 0
+    header = [struct.pack("<I", len(names))]
     for name in names:
-        arr = arrays[name]
-        encoded = name.encode("utf-8")
+        arr, encoded = arrays[name], name.encode("utf-8")
+        if len(encoded) > 0xFFFF:  # a name's length is stored as a u16
+            raise ValueError(f"tensor name of {len(encoded)} UTF-8 bytes, over the limit of 65535")
         header.append(struct.pack("<H", len(encoded)) + encoded)
-        header.append(struct.pack(f"<B{arr.ndim}IB", arr.ndim, *arr.shape, _DTYPE_TAGS[arr.dtype]))
-        payload.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
-        crc = zlib.crc32(payload[-1], crc)  # streamed: no byte copy of the payload
-    binfile.atomic_write(path, [*header, *payload, struct.pack("<I", crc)])
+        tag = _DTYPES.index(arr.dtype)
+        header.append(struct.pack(f"<B{arr.ndim}IB", arr.ndim, *arr.shape, tag))
+    binfile.write(path, MAGIC, VERSION, b"".join(header), [arrays[name] for name in names],
+                  crc=True)
 
 
 def load_checkpoint(path):
@@ -66,10 +62,8 @@ def load_checkpoint(path):
 
     The arrays are writable views of one buffer holding the whole payload.
     """
-    with binfile.Reader(path, MAGIC, CorruptCheckpointError) as reader:
-        version, count = reader.unpack("II")
-        if version != VERSION:
-            raise reader.error(f"unsupported version {version}")
+    with binfile.Reader(path, MAGIC, VERSION, CorruptCheckpointError) as reader:
+        (count,) = reader.unpack("I")
         entries = []
         for _ in range(count):
             (name_len,) = reader.unpack("H")
@@ -80,16 +74,11 @@ def load_checkpoint(path):
             if rank > 64:  # numpy arrays hold at most 64 axes
                 raise reader.error(f"tensor {name!r} has rank {rank}, over 64")
             *shape, tag = reader.unpack(f"{rank}IB")
-            if tag not in _TAG_DTYPES:
+            if tag >= len(_DTYPES):
                 raise reader.error(f"unknown dtype tag {tag}")
-            entries.append((name, tuple(shape), _TAG_DTYPES[tag]))
-        arrays, payload_crc = reader.arrays(
+            entries.append((name, tuple(shape), _DTYPES[tag]))
+        arrays = reader.arrays(
             [(dtype, shape, f"tensor {name!r}") for name, shape, dtype in entries], crc=True)
-        (crc,) = reader.unpack("I", "CRC trailer")
-        if reader.remaining:
-            raise reader.error(f"{reader.remaining} trailing bytes")
-        if payload_crc != crc:
-            raise reader.error("payload CRC mismatch")
     return {name: arr for (name, _, _), arr in zip(entries, arrays)}
 
 

@@ -166,29 +166,22 @@ def save_dataset(path, dataset):
                           num_classes, DatasetError)
     if not np.isfinite(images).all():
         raise DatasetError("images hold a non-finite pixel")
-    header = MAGIC + struct.pack(
-        "<IIIIIBI", VERSION, *images.shape, _TASK_TAGS[dataset.task], num_classes,
-    )
-    binfile.atomic_write(path, [header, images.astype("<f4").tobytes(),
-                                labels.astype("<u2").tobytes()])
+    header = struct.pack("<IIIIBI", *images.shape, _TASK_TAGS[dataset.task], num_classes)
+    binfile.write(path, MAGIC, VERSION, header, [images, labels.astype("<u2", copy=False)])
 
 
 def load_dataset(path):
     """Read a dataset file; images and labels are writable views of one
     buffer holding the whole payload."""
-    with binfile.Reader(path, MAGIC, CorruptDatasetError) as reader:
-        version, count, h, w, c, tag, num_classes = reader.unpack("IIIIIBI")
-        if version != VERSION:
-            raise reader.error(f"unsupported version {version}")
+    with binfile.Reader(path, MAGIC, VERSION, CorruptDatasetError) as reader:
+        count, h, w, c, tag, num_classes = reader.unpack("IIIIBI")
         if tag not in _TAG_TASKS:
             raise reader.error(f"unknown task tag {tag}")
         task = _TAG_TASKS[tag]
-        (images, labels), _ = reader.arrays([
+        images, labels = reader.arrays([
             ("<f4", (count, h, w, c), "images"),
             ("<u2", label_shape(task, (count, h, w, c)), f"labels of declared count {count}"),
         ])
-        if reader.remaining:
-            raise reader.error(f"{reader.remaining} bytes beyond declared count {count}")
         # min/max propagate NaN and find any inf with no image-sized mask
         if images.size and not (np.isfinite(images.min()) and np.isfinite(images.max())):
             raise reader.error("images hold a non-finite pixel")

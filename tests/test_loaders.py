@@ -1,12 +1,14 @@
-"""The loaders' read path (chunked reads into one 64-byte-aligned buffer
-per file, views of it for the arrays, a checkpoint's CRC computed one chunk
-behind the read on a worker thread), the arrays a checkpoint load hands to
+"""The container both formats share (its writer, and its read path:
+chunked reads into one 64-byte-aligned buffer per file, views of it for the
+arrays, a checkpoint's CRC computed on a worker thread as the chunks are
+read, then the trailer and the end of file), the arrays a checkpoint load hands to
 the model as they are, and the truncated-normal initializer, whose draws
 wait for the first read of a weight so that a loaded backbone is never
 drawn."""
 
 import gc
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -223,6 +225,7 @@ def test_edge_entries_round_trip_bitwise(tmp_path):
         "e.wide64": rng.normal(size=(3, 5)),
         "f.odd32": rng.normal(size=7).astype(np.float32),
         "g.after_odd64": rng.normal(size=(2, 2)),
+        "z" * 65535: np.float32(2.0),  # the longest name a u16 length holds
     }
     path, again = tmp_path / "edge.ckpt", tmp_path / "again.ckpt"
     save_checkpoint(path, tensors)
@@ -305,6 +308,16 @@ def test_checkpoint_save_copies_none_of_the_payload(tmp_path):
     _, peak = traced_peak(lambda p: save_checkpoint(p, tensors), path)
     assert peak <= payload / 8, (peak / MIB, payload / MIB)
     assert load_checkpoint(path)["w"].tobytes() == tensors["w"].tobytes()
+
+
+def test_dataset_save_copies_none_of_the_images(tmp_path):
+    rng = np.random.default_rng(12)
+    ds = Dataset(rng.normal(size=(250, 32, 32, 8)).astype(np.float32),
+                 rng.integers(0, 5, size=250).astype(np.uint16), "classification", 5)
+    path = tmp_path / "big.dvds"
+    _, peak = traced_peak(lambda p: save_dataset(p, ds), path)
+    assert peak < ds.images.nbytes / 2, (peak / MIB, ds.images.nbytes / MIB)
+    assert load_dataset(path).images.tobytes() == ds.images.tobytes()
 
 
 def test_checkpoint_save_writes_the_documented_layout(tmp_path):
@@ -488,6 +501,46 @@ def test_loaders_close_their_file_on_success_and_on_every_corrupt_error(tmp_path
 
 
 # ---------------------------------------------------------------------------
+# the container: version, trailer and end of file, said once for both formats
+
+def assert_corrupt_and_closed(path, load, error, opened, message):
+    """``load(path)`` raises ``error`` naming ``path``, with ``message`` at
+    the end, after closing the one file it opened."""
+    del opened[:]
+    with pytest.raises(error, match=re.escape(f"{path}: ") + message):
+        load(path)
+    assert len(opened) == 1 and opened[0].closed
+
+
+_FORMATS = pytest.mark.parametrize("fmt", [0, 1], ids=["checkpoint", "dataset"])
+
+
+@_FORMATS
+def test_an_unsupported_version_is_corrupt(tmp_path, opened, fmt):
+    path, load, error = _sample_files(tmp_path)[fmt]
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    assert_corrupt_and_closed(path, load, error, opened, "unsupported version 2$")
+
+
+@_FORMATS
+def test_a_byte_after_the_payload_or_trailer_is_corrupt(tmp_path, opened, fmt):
+    path, load, error = _sample_files(tmp_path)[fmt]
+    path.write_bytes(path.read_bytes() + b"\0")
+    assert_corrupt_and_closed(path, load, error, opened, "1 trailing bytes$")
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3, 4])
+def test_a_checkpoint_cut_inside_its_trailer_is_corrupt(tmp_path, opened, cut):
+    path, load, error = _sample_files(tmp_path)[0]
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-cut])
+    assert_corrupt_and_closed(
+        path, load, error, opened,
+        f"truncated CRC trailer: 4 bytes needed at offset {len(blob) - 4}, {4 - cut} left$")
+
+
+# ---------------------------------------------------------------------------
 # chunked payload reads and the CRC worker
 
 SMALL_CHUNK = 64  # bytes, so that desk-sized payloads span several chunks
@@ -513,28 +566,27 @@ def record_threads(mp):
     return started
 
 
-def record_crcs(mp):
-    """The CRC each ``Reader.arrays`` call returns from here on."""
-    crcs = []
-    arrays = binfile.Reader.arrays
-
-    def recording_arrays(self, *args, **kwargs):
-        views, crc = arrays(self, *args, **kwargs)
-        crcs.append(crc)
-        return views, crc
-
-    mp.setattr(binfile.Reader, "arrays", recording_arrays)
-    return crcs
-
-
 @pytest.mark.parametrize("nbytes", _BYTE_SIZES)
 def test_a_payload_of_any_size_reads_in_chunks_with_its_crc(tmp_path, small_chunks, nbytes):
     payload = np.random.default_rng(nbytes).bytes(nbytes)
     path = tmp_path / "raw"
-    path.write_bytes(b"TEST" + payload)
-    with binfile.Reader(path, b"TEST", binfile.CorruptFileError) as reader:
-        (arr,), crc = reader.arrays([(np.uint8, (nbytes,), "bytes")], crc=True)
-    assert arr.tobytes() == payload and crc == zlib.crc32(payload)
+
+    def read(crc):
+        with binfile.Reader(path, b"TEST", 7, binfile.CorruptFileError) as reader:
+            assert reader.take(2, "header") == b"hd"
+            return reader.arrays([(np.uint8, (nbytes,), "bytes")], crc=crc)
+
+    for crc in (False, True):
+        binfile.write(path, b"TEST", 7, b"hd", [np.frombuffer(payload, np.uint8)], crc=crc)
+        trailer = struct.pack("<I", zlib.crc32(payload)) if crc else b""
+        assert path.read_bytes() == b"TEST" + struct.pack("<I", 7) + b"hd" + payload + trailer
+        (arr,) = read(crc)
+        assert arr.tobytes() == payload
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0x01  # the trailer's last byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(binfile.CorruptFileError, match="payload CRC mismatch$"):
+        read(crc=True)
 
 
 # a checkpoint payload is whole float32 scalars, so its sizes step by 4 bytes
@@ -553,11 +605,11 @@ def test_a_checkpoint_round_trips_through_chunked_reads(tmp_path, count, data):
     before = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binfile, "CHUNK", SMALL_CHUNK)
-        started, crcs = record_threads(mp), record_crcs(mp)
+        started = record_threads(mp)
         loaded = load_checkpoint(path)
     assert threading.active_count() == before
     assert len(started) == (4 * count > SMALL_CHUNK)  # a worker only past one chunk
-    assert crcs == [zlib.crc32(values)]
+    assert path.read_bytes()[-4:] == struct.pack("<I", zlib.crc32(values))
     assert {name: arr.tobytes() for name, arr in loaded.items()} == {
         name: arr.tobytes() for name, arr in tensors.items()}
 

@@ -86,6 +86,12 @@ _CASES = {  # name -> (call taking a scratch directory, error type, message rege
     "save_checkpoint of an int array": (
         lambda tmp: save_checkpoint(tmp / "x.ckpt", {"w": np.zeros(2, np.int64)}),
         ValueError, r"^w: unsupported dtype int64$"),
+    "save_checkpoint of a 70000-byte tensor name": (
+        lambda tmp: save_checkpoint(tmp / "x.ckpt", {"x" * 70000: np.zeros(2, np.float32)}),
+        ValueError, r"^tensor name of 70000 UTF-8 bytes, over the limit of 65535$"),
+    "save_checkpoint of a 32768-character, 65536-byte tensor name": (
+        lambda tmp: save_checkpoint(tmp / "x.ckpt", {"é" * 32768: np.zeros(2, np.float32)}),
+        ValueError, r"^tensor name of 65536 UTF-8 bytes, over the limit of 65535$"),
     "accuracy of an empty confusion matrix": (
         lambda tmp: accuracy(np.zeros((3, 3), np.int64)),
         ContractError, r"^empty confusion matrix$"),
@@ -103,4 +109,4 @@ def test_a_typed_error_branch_raises_its_error(tmp_path, case):
     call, error, message = _CASES[case]
     with pytest.raises(error, match=message):
         call(tmp_path)
-    assert not (tmp_path / "x.ckpt").exists()
+    assert not list(tmp_path.glob("x.ckpt*"))  # no checkpoint, nor its temp file
