@@ -51,6 +51,10 @@ def save_checkpoint(path, tensors):
         if len(encoded) > 0xFFFF:  # a name's length is stored as a u16
             raise ValueError(f"tensor name of {len(encoded)} UTF-8 bytes, over the limit of 65535")
         header.append(struct.pack("<H", len(encoded)) + encoded)
+        for axis, length in enumerate(arr.shape):
+            if length > 0xFFFFFFFF:  # a u32; only a zero-size array has such an axis
+                raise ValueError(f"{name}: axis {axis} of length {length}, over the limit of "
+                                 "4294967295")
         tag = _DTYPES.index(arr.dtype)
         header.append(struct.pack(f"<B{arr.ndim}IB", arr.ndim, *arr.shape, tag))
     binfile.write(path, MAGIC, VERSION, b"".join(header), [arrays[name] for name in names],

@@ -166,6 +166,10 @@ def save_dataset(path, dataset):
                           num_classes, DatasetError)
     if not np.isfinite(images).all():
         raise DatasetError("images hold a non-finite pixel")
+    for axis, length in zip(("count", "H", "W", "C"), images.shape):
+        if length > 0xFFFFFFFF:  # a u32; only an empty set has such an axis
+            raise DatasetError(f"images axis {axis} of length {length}, "
+                               "over the limit of 4294967295")
     header = struct.pack("<IIIIBI", *images.shape, _TASK_TAGS[dataset.task], num_classes)
     binfile.write(path, MAGIC, VERSION, header, [images, labels.astype("<u2", copy=False)])
 

@@ -16,6 +16,9 @@ alive.
 """
 
 import itertools
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -444,13 +447,78 @@ def _check_matmul(a, b):
         raise ShapeError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
 
 
+# A row split (see _product) needs a weight of _SPLIT_WEIGHT elements (the
+# crossover measured over widths 128-768: every ViT-B/16 projection, no
+# mid-config one), _SPLIT_ROWS rows and a multiple of _SPLIT_COLUMNS columns.
+# Below them a half can take another BLAS path, such as gemv at one row or
+# an edge tile that rounds otherwise, and change the bits.
+_SPLIT_WEIGHT = 2 ** 17
+_SPLIT_ROWS = 64
+_SPLIT_COLUMNS = 64
+_worker = None  # (pid, job queue) of the process's gemm worker, from its first split
+_worker_lock = threading.Lock()
+
+
+def _gemm_worker(jobs):
+    """Compute each job's ``a @ b`` into ``out`` under the caller's errstate,
+    handing back None or the exception it raised."""
+    while True:
+        a, b, out, errstate, done = jobs.get()
+        error = None
+        try:
+            with np.errstate(**errstate):
+                np.matmul(a, b, out=out)
+        except BaseException as exc:  # handed to the caller, which raises it
+            error = exc
+        # b may view a whole loaded backbone: keep no array once the caller can return
+        del a, b, out
+        done.put(error)
+
+
+def _gemm_jobs():
+    """The job queue of this process's gemm worker, which is started in a
+    process (a forked child too) that has none."""
+    global _worker
+    with _worker_lock:
+        if _worker is None or _worker[0] != os.getpid():
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_gemm_worker, args=(jobs,), name="dvpt-gemm",
+                             daemon=True).start()
+            _worker = (os.getpid(), jobs)
+        return _worker[1]
+
+
+def _cpus():
+    """CPUs the process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _product(a, b):
     """The array ``a @ b``.  With a 2-D ``b``, all of ``a``'s rows go
     through one gemm as one matrix, where a batched matmul would call BLAS
-    once per matrix of the batch."""
-    if b.ndim == 2:
-        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
-    return np.matmul(a, b)
+    once per matrix of the batch.  With two CPUs, a large product's first
+    half of rows goes to the gemm worker while the caller computes the
+    second.  Each row is the same gemm over the same K, and the floors keep
+    both halves on the whole product's kernels, so the bits hold."""
+    if b.ndim != 2:
+        return np.matmul(a, b)
+    a2 = a.reshape(-1, a.shape[-1])
+    shape = a.shape[:-1] + b.shape[1:]
+    if (b.size < _SPLIT_WEIGHT or len(a2) < _SPLIT_ROWS or b.shape[1] % _SPLIT_COLUMNS
+            or _cpus() < 2):
+        return (a2 @ b).reshape(shape)
+    out = np.empty((len(a2), b.shape[1]), np.result_type(a2, b))
+    half, done = len(a2) // 2, queue.SimpleQueue()
+    _gemm_jobs().put((a2[:half], b, out[:half], np.geterr(), done))
+    try:
+        np.matmul(a2[half:], b, out=out[half:])
+    finally:
+        error = done.get()  # the worker writes into out until it answers
+    if error is not None:
+        raise error
+    return out.reshape(shape)
 
 
 def _matmul_rule(a, b, need_a, need_b):

@@ -1,5 +1,9 @@
 import gc
 import importlib.util
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -803,3 +807,228 @@ def test_erf_writes_in_place_and_takes_any_layout(dtype):
         out = np.empty_like(x)
         assert T.erf(x, out) is out and out.shape == shape
         assert np.array_equal(out, _scipy_erf(x))
+
+
+# ---------------------------------------------------------------------------
+# row-split products: a large product by a 2-D weight is split by rows
+# between the caller and the gemm worker, and keeps every bit
+
+# ViT-B/16's 2-D weights, as (in, out): the patch embedding and attention
+# projections, the FFN, the adapter's down and up projections and the head.
+_VITB_WEIGHTS = [(768, 768), (768, 3072), (3072, 768), (768, 20), (20, 768), (768, 5)]
+_SPLIT_TEST_ROWS = [64, 65, 196, 197, 247, 248, 2592]
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """Two CPUs, whatever the machine has; counts the products that reach
+    the gemm worker."""
+    _cpus(monkeypatch, 2)
+    count = [0]
+    jobs = T._gemm_jobs
+
+    def counted():
+        count[0] += 1
+        return jobs()
+
+    monkeypatch.setattr(T, "_gemm_jobs", counted)
+    return count
+
+
+def _gemm_threads():
+    return [t for t in threading.enumerate() if t.name == "dvpt-gemm"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight", _VITB_WEIGHTS, ids=lambda w: f"{w[0]}x{w[1]}")
+@pytest.mark.parametrize("side", ["forward", "input_gradient"])
+def test_split_product_equals_one_gemm(splits, dtype, weight, side):
+    rng = np.random.default_rng(48)
+    w = rng.normal(size=weight).astype(dtype)
+    b = w if side == "forward" else w.T  # og @ W^T reads the weight transposed
+    for rows in _SPLIT_TEST_ROWS:
+        a = rng.normal(size=(rows, b.shape[0])).astype(dtype)
+        assert T._product(a, b).tobytes() == (a @ b).tobytes(), rows
+    assert splits[0] == (len(_SPLIT_TEST_ROWS) if w.size >= T._SPLIT_WEIGHT else 0)
+
+
+def test_split_product_equals_one_gemm_on_random_shapes(splits):
+    """Weights from the floor up with a multiple of 64 columns, any depth,
+    as stored or transposed, at row counts around the kernels' tiles."""
+    rng = np.random.default_rng(53)
+    for case in range(24):
+        dtype = (np.float32, np.float64)[case % 2]
+        n = 64 * int(rng.integers(1, 33))
+        k = int(rng.integers(-(-T._SPLIT_WEIGHT // n), 4 * T._SPLIT_WEIGHT // n + 2))
+        b = rng.normal(size=(k, n)) if case % 4 < 2 else rng.normal(size=(n, k)).T
+        rows = int(rng.choice([64, 65, 66, 97, 127, 129, 197, 247, 401]))
+        a = rng.normal(size=(rows, k)).astype(dtype)
+        b = b.astype(dtype)
+        assert T._product(a, b).tobytes() == (a @ b).tobytes(), (dtype, k, n, rows)
+    assert splits[0] == 24
+
+
+# Each of these gave other bits than the whole product when split in half,
+# float32 and float64 alike (OpenBLAS's SkylakeX kernels): a half of one
+# row goes to gemv, and the small weights take other paths at these rows.
+# In float64 so did most weights above the floor whose column count is not
+# a multiple of 64 (33 of 40 random ones), at 64-700 rows.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight,rows", [
+    ((768, 768), 2), ((768, 768), 3), ((768, 20), 123), ((768, 20), 124),
+    ((512, 128), 16), ((512, 128), 17), ((512, 128), 31),
+    ((768, 770), 64), ((400, 1311), 247), ((2047, 257), 197), ((725, 725), 400)])
+def test_split_rule_leaves_out_shapes_whose_halves_change_bits(splits, dtype, weight, rows):
+    rng = np.random.default_rng(49)
+    a, b = rng.normal(size=(rows, weight[0])).astype(dtype), rng.normal(size=weight).astype(dtype)
+    assert T._product(a, b).tobytes() == (a @ b).tobytes()
+    assert splits[0] == 0
+
+
+@pytest.mark.parametrize("policy", ["dvpt", "full_finetune"])
+def test_split_keeps_the_bits_of_a_vitb_wide_model(splits, monkeypatch, policy):
+    """d=768 at depth 1 on 4 images of 16 patches and 50 prompts: every
+    ViT-B/16 projection, 268 rows (64 in the patch embedding)."""
+    from dvpt import DvptConfig, VitConfig, training
+    from dvpt.model import model_for_policy
+
+    cfg = VitConfig(image_h=64, image_w=64, channels=3, patch_size=16, embed_dim=768,
+                    depth=1, heads=12, num_classes=5)
+    model, _ = model_for_policy(cfg, DvptConfig(num_prompts=50, hidden_dim=20), policy, seed=3)
+    rng = np.random.default_rng(50)
+    images = rng.normal(size=(4, 64, 64, 3)).astype(np.float32)
+    labels = rng.integers(0, 5, size=4)
+
+    def logits_and_grads():
+        model.zero_grad()
+        logits = training.predict(model, images)
+        with Tape() as tape:
+            loss = training.batch_loss(model, images, labels)
+        backward(loss, tape)
+        return [logits] + [t.grad for _, t in model.trainable()]
+
+    _cpus(monkeypatch, 1)
+    whole = logits_and_grads()
+    assert splits[0] == 0
+    _cpus(monkeypatch, 2)
+    _assert_same_bits(logits_and_grads(), whole)
+    assert splits[0] > 0
+
+
+def test_split_hands_a_worker_error_to_the_caller(splits, monkeypatch):
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    matmul = np.matmul
+
+    def failing_on_the_worker(*args, **kwargs):
+        if threading.current_thread().name == "dvpt-gemm":
+            raise MemoryError("worker half")
+        return matmul(*args, **kwargs)
+
+    a, b = np.ones((64, 768), np.float32), np.ones((768, 768), np.float32)
+    monkeypatch.setattr(np, "matmul", failing_on_the_worker)
+    with pytest.raises(MemoryError, match="worker half"):
+        T._product(a, b)
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert T._product(a, b).tobytes() == (a @ b).tobytes()  # the worker still serves
+    assert splits[0] == 2 and not escaped
+
+
+def test_split_applies_the_callers_errstate_to_both_halves(splits):
+    a, b = np.ones((64, 768), np.float32), np.ones((768, 768), np.float32)
+    a[0] = 1e38  # a row of the worker's half overflows
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            T._product(a, b)
+    with np.errstate(over="ignore"):  # and a RuntimeWarning fails the test
+        out = T._product(a, b)
+        assert out.tobytes() == (a @ b).tobytes() and np.isinf(out[0]).all()
+    assert splits[0] == 2
+
+
+def test_split_product_keeps_no_reference_to_its_weight(splits):
+    # A served model's weights are views of one loaded backbone buffer, so a
+    # weight kept by the worker keeps the whole backbone alive.
+    b = np.ones((768, 768), np.float32)
+    alive = weakref.ref(b)
+    T._product(np.ones((64, 768), np.float32), b)
+    del b
+    assert splits[0] == 1 and alive() is None
+
+
+def _split_in_a_child():
+    a, b = np.ones((64, 768)), np.full((768, 768), 0.5)
+    assert T._product(a, b).tobytes() == (a @ b).tobytes()
+    assert T._worker[0] == os.getpid()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_split_works_in_a_forked_child(splits):
+    T._product(np.ones((64, 768)), np.ones((768, 768)))  # the parent's worker runs
+    child = multiprocessing.get_context("fork").Process(target=_split_in_a_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("a forked child's split did not return within 60 s")
+    assert child.exitcode == 0 and splits[0] == 1
+
+
+def test_split_from_many_caller_threads_at_once(splits, monkeypatch):
+    monkeypatch.setattr(T, "_worker", None)  # the callers race to start it
+    started_with = len(_gemm_threads())
+    rng = np.random.default_rng(51)
+    b = rng.normal(size=(768, 768)).astype(np.float32)
+    inputs = [rng.normal(size=(97 + i, 768)).astype(np.float32) for i in range(4)]
+    wrong = []
+
+    def call(a):
+        for _ in range(10):
+            if T._product(a, b).tobytes() != (a @ b).tobytes():
+                wrong.append(len(a))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(a,)) for a in inputs]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert not wrong and splits[0] == 40
+    assert len(_gemm_threads()) == started_with + 1  # one worker, whoever started it
+
+
+def test_split_with_one_cpu_starts_no_thread(monkeypatch):
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(T, "_worker", None)
+    threads = threading.enumerate()
+    a, b = np.ones((2592, 768), np.float32), np.ones((768, 3072), np.float32)
+    assert T._product(a, b).tobytes() == (a @ b).tobytes()
+    assert threading.enumerate() == threads and T._worker is None
+
+
+def test_split_is_never_reached_by_mid_config_training_or_evaluation(splits, monkeypatch):
+    from dvpt import training
+    from dvpt.model import model_for_policy
+
+    monkeypatch.setattr(T, "_worker", None)
+    threads = threading.enumerate()
+    shape = _benchmark_finetune_shape()
+    cfg = shape.vit
+    rng = np.random.default_rng(52)
+    images = rng.normal(size=(32, cfg.image_h, cfg.image_w, cfg.channels)).astype(np.float32)
+    labels = rng.integers(0, cfg.num_classes, size=32)
+    for policy in ("dvpt", "full_finetune"):
+        model, frozen = model_for_policy(cfg, shape.dvpt, policy, seed=0)
+        training.train_loop(model, images, labels, frozen, epochs=1,
+                            batch_size=shape.batch_size)  # evaluates 32 images at once
+    assert threading.enumerate() == threads and T._worker is None and splits[0] == 0

@@ -10,7 +10,7 @@ from dvpt import cli
 from dvpt import tensor as T
 from dvpt.checkpoint import save_checkpoint
 from dvpt.config import load_config
-from dvpt.data import DataConfig, save_dataset, synth_generate
+from dvpt.data import DataConfig, Dataset, DatasetError, save_dataset, synth_generate
 from dvpt.model import Model
 from dvpt.peft import DvptConfig
 from dvpt.tensor import ShapeError, Tensor
@@ -92,6 +92,13 @@ _CASES = {  # name -> (call taking a scratch directory, error type, message rege
     "save_checkpoint of a 32768-character, 65536-byte tensor name": (
         lambda tmp: save_checkpoint(tmp / "x.ckpt", {"é" * 32768: np.zeros(2, np.float32)}),
         ValueError, r"^tensor name of 65536 UTF-8 bytes, over the limit of 65535$"),
+    "save_checkpoint of an axis over 2**32 - 1": (
+        lambda tmp: save_checkpoint(tmp / "x.ckpt", {"w": np.zeros((2**32, 0), np.float32)}),
+        ValueError, r"^w: axis 0 of length 4294967296, over the limit of 4294967295$"),
+    "save_dataset of an axis over 2**32 - 1": (
+        lambda tmp: save_dataset(tmp / "x.dvds", Dataset(
+            np.zeros((0, 2**32, 1, 1), np.float32), np.zeros(0, np.uint16), "classification", 2)),
+        DatasetError, r"^images axis H of length 4294967296, over the limit of 4294967295$"),
     "accuracy of an empty confusion matrix": (
         lambda tmp: accuracy(np.zeros((3, 3), np.int64)),
         ContractError, r"^empty confusion matrix$"),
@@ -109,4 +116,4 @@ def test_a_typed_error_branch_raises_its_error(tmp_path, case):
     call, error, message = _CASES[case]
     with pytest.raises(error, match=message):
         call(tmp_path)
-    assert not list(tmp_path.glob("x.ckpt*"))  # no checkpoint, nor its temp file
+    assert not list(tmp_path.glob("x.*"))  # no checkpoint or dataset, nor its temp file
