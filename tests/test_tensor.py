@@ -819,7 +819,7 @@ _VITB_WEIGHTS = [(768, 768), (768, 3072), (3072, 768), (768, 20), (20, 768), (76
 _SPLIT_TEST_ROWS = [64, 65, 196, 197, 247, 248, 2592]
 
 
-def _cpus(monkeypatch, count):
+def _allow_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
@@ -827,7 +827,7 @@ def _cpus(monkeypatch, count):
 def splits(monkeypatch):
     """Two CPUs, whatever the machine has; counts the products that reach
     the gemm worker."""
-    _cpus(monkeypatch, 2)
+    _allow_cpus(monkeypatch, 2)
     count = [0]
     jobs = T._gemm_jobs
 
@@ -911,10 +911,10 @@ def test_split_keeps_the_bits_of_a_vitb_wide_model(splits, monkeypatch, policy):
         backward(loss, tape)
         return [logits] + [t.grad for _, t in model.trainable()]
 
-    _cpus(monkeypatch, 1)
+    _allow_cpus(monkeypatch, 1)
     whole = logits_and_grads()
     assert splits[0] == 0
-    _cpus(monkeypatch, 2)
+    _allow_cpus(monkeypatch, 2)
     _assert_same_bits(logits_and_grads(), whole)
     assert splits[0] > 0
 
@@ -1008,7 +1008,7 @@ def test_split_from_many_caller_threads_at_once(splits, monkeypatch):
 
 
 def test_split_with_one_cpu_starts_no_thread(monkeypatch):
-    _cpus(monkeypatch, 1)
+    _allow_cpus(monkeypatch, 1)
     monkeypatch.setattr(T, "_worker", None)
     threads = threading.enumerate()
     a, b = np.ones((2592, 768), np.float32), np.ones((768, 3072), np.float32)
