@@ -10,21 +10,23 @@ into one error type.  Its last read, ``Reader.arrays``, reads the payload
 in ``CHUNK``-byte reads into one fresh buffer whose views are the loaded
 arrays (so a loader holds one copy of the payload, and any one loaded
 array keeps the whole buffer alive), then checks the CRC trailer and the
-end of file.  A worker thread hashes a payload of more than one chunk as
-its chunks are read, and the read never waits for it.
+end of file.  The package's worker hashes a payload of several chunks as
+they are read, and the read never waits for it.
 """
 
+import contextlib
 import math
 import os
 import queue
 import struct
-import threading
 import zlib
 
 import numpy as np
 
+from . import worker
+
 ALIGN = 64  # byte boundary the payload buffer starts on
-CHUNK = 16 * 2 ** 20  # bytes per payload read; a larger payload is hashed on a worker
+CHUNK = 16 * 2 ** 20  # bytes per payload read; a larger payload is hashed on the worker
 
 
 class CorruptFileError(ValueError):
@@ -54,12 +56,7 @@ def write(path, magic, version, header, arrays, crc=False):
     so no byte of such a payload is copied."""
     payload = [arr.astype(arr.dtype.newbyteorder("<"), order="C", copy=False)
                for arr in map(np.asarray, arrays)]
-    trailer = []
-    if crc:
-        digest = 0
-        for arr in payload:
-            digest = zlib.crc32(arr, digest)
-        trailer.append(struct.pack("<I", digest))
+    trailer = [struct.pack("<I", _crc32(payload))] if crc else []
     atomic_write(path, [magic, struct.pack("<I", version), header, *payload, *trailer])
 
 
@@ -131,8 +128,8 @@ class Reader:
         the payload in order; the file's last read.  With ``crc``, the
         CRC32 trailer that follows must match the payload before any array
         is returned; then the file must end.  A payload with a CRC that
-        spans more than one ``CHUNK`` is hashed on a worker thread as its
-        chunks are read, and the read never waits for it.
+        spans more than one ``CHUNK`` is hashed on the worker as its chunks
+        are read; the read never waits for it, and its error wins.
 
         Every entry is bounds-checked before anything is allocated, so a
         truncated file names its first incomplete entry.  The buffer
@@ -153,12 +150,24 @@ class Reader:
         raw = np.empty(total + ALIGN - 1, np.uint8)
         skip = -raw.ctypes.data % ALIGN
         buf = raw[skip:skip + total]
-        if crc and total > CHUNK:
-            digest = _crc32_behind(self._read_chunks(buf))
-        else:
-            for _ in self._read_chunks(buf):
-                pass
-            digest = zlib.crc32(buf) if crc else None
+        chunks = queue.SimpleQueue()  # views of buf as they are read, then None
+        wait = (worker.submit(lambda: _crc32(iter(chunks.get, None)))
+                if crc and total > CHUNK else None)  # else hashed here, if at all
+        try:
+            for start in range(0, total, CHUNK):
+                chunk = buf[start:start + CHUNK]
+                got = self.fh.readinto(chunk)
+                if got != len(chunk):
+                    raise self._short("payload", start + got, total)
+                chunks.put(chunk.data)  # a memoryview, which iter can compare to None
+        except BaseException:
+            if wait:  # the job views buf until it ends, and the read's error wins
+                chunks.put(None)
+                with contextlib.suppress(BaseException):
+                    wait()
+            raise
+        chunks.put(None)
+        digest = wait() if wait else zlib.crc32(buf) if crc else None
         self.offset = end
         if crc:
             (stored,) = self.unpack("I", "CRC trailer")
@@ -169,41 +178,9 @@ class Reader:
         return [buf[start:start + nbytes].view(dtype).reshape(shape)
                 for dtype, shape, start, nbytes in spans]
 
-    def _read_chunks(self, buf):
-        """Fill ``buf`` from the file ``CHUNK`` bytes at a time, yielding
-        each chunk once it is read."""
-        total = len(buf)
-        for start in range(0, total, CHUNK):
-            chunk = buf[start:start + CHUNK]
-            got = self.fh.readinto(chunk)
-            if got != len(chunk):
-                raise self._short("payload", start + got, total)
-            yield chunk
 
-
-def _crc32_behind(chunks):
-    """The CRC32 of the chunks ``chunks`` yields, hashed on a worker thread
-    as they are yielded; the worker is joined before this returns or
-    raises, and an exception it raised is raised here."""
-    todo, result = queue.SimpleQueue(), []
-
-    def hash_chunks():
-        try:
-            crc = 0
-            while (chunk := todo.get()) is not None:
-                crc = zlib.crc32(chunk, crc)
-            result.append(crc)
-        except BaseException as exc:  # handed to the caller, which raises it
-            result.append(exc)
-
-    worker = threading.Thread(target=hash_chunks, name="dvpt-crc32")
-    worker.start()
-    try:
-        for chunk in chunks:
-            todo.put(chunk)
-    finally:
-        todo.put(None)
-        worker.join()
-    if isinstance(result[0], BaseException):
-        raise result[0]
-    return result[0]
+def _crc32(chunks):
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    return crc

@@ -16,11 +16,12 @@ alive.
 """
 
 import itertools
+import math
 import os
-import queue
-import threading
 
 import numpy as np
+
+from . import worker
 
 FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -455,37 +456,6 @@ def _check_matmul(a, b):
 _SPLIT_WEIGHT = 2 ** 17
 _SPLIT_ROWS = 64
 _SPLIT_COLUMNS = 64
-_worker = None  # (pid, job queue) of the process's gemm worker, from its first split
-_worker_lock = threading.Lock()
-
-
-def _gemm_worker(jobs):
-    """Compute each job's ``a @ b`` into ``out`` under the caller's errstate,
-    handing back None or the exception it raised."""
-    while True:
-        a, b, out, errstate, done = jobs.get()
-        error = None
-        try:
-            with np.errstate(**errstate):
-                np.matmul(a, b, out=out)
-        except BaseException as exc:  # handed to the caller, which raises it
-            error = exc
-        # b may view a whole loaded backbone: keep no array once the caller can return
-        del a, b, out
-        done.put(error)
-
-
-def _gemm_jobs():
-    """The job queue of this process's gemm worker, which is started in a
-    process (a forked child too) that has none."""
-    global _worker
-    with _worker_lock:
-        if _worker is None or _worker[0] != os.getpid():
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_gemm_worker, args=(jobs,), name="dvpt-gemm",
-                             daemon=True).start()
-            _worker = (os.getpid(), jobs)
-        return _worker[1]
 
 
 def _cpus():
@@ -499,25 +469,27 @@ def _product(a, b):
     """The array ``a @ b``.  With a 2-D ``b``, all of ``a``'s rows go
     through one gemm as one matrix, where a batched matmul would call BLAS
     once per matrix of the batch.  With two CPUs, a large product's first
-    half of rows goes to the gemm worker while the caller computes the
-    second.  Each row is the same gemm over the same K, and the floors keep
+    half of rows goes to the package's worker thread while the caller
+    computes the second.  Each row is the same gemm over the same K, and the floors keep
     both halves on the whole product's kernels, so the bits hold."""
     if b.ndim != 2:
         return np.matmul(a, b)
-    a2 = a.reshape(-1, a.shape[-1])
+    a2 = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])  # not -1: ambiguous at K = 0
     shape = a.shape[:-1] + b.shape[1:]
     if (b.size < _SPLIT_WEIGHT or len(a2) < _SPLIT_ROWS or b.shape[1] % _SPLIT_COLUMNS
             or _cpus() < 2):
         return (a2 @ b).reshape(shape)
     out = np.empty((len(a2), b.shape[1]), np.result_type(a2, b))
-    half, done = len(a2) // 2, queue.SimpleQueue()
-    _gemm_jobs().put((a2[:half], b, out[:half], np.geterr(), done))
+    half = len(a2) // 2
+
+    def first_half():
+        np.matmul(a2[:half], b, out=out[:half])
+
+    wait = worker.submit(first_half)
     try:
         np.matmul(a2[half:], b, out=out[half:])
     finally:
-        error = done.get()  # the worker writes into out until it answers
-    if error is not None:
-        raise error
+        wait()  # the worker writes into out until it answers
     return out.reshape(shape)
 
 

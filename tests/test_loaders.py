@@ -1,7 +1,7 @@
 """The container both formats share (its writer, and its read path:
 chunked reads into one 64-byte-aligned buffer per file, views of it for the
-arrays, a checkpoint's CRC computed on a worker thread as the chunks are
-read, then the trailer and the end of file), the arrays a checkpoint load hands to
+arrays, a checkpoint's CRC computed on the package's worker thread as the
+chunks are read, then the trailer and the end of file), the arrays a checkpoint load hands to
 the model as they are, and the truncated-normal initializer, whose draws
 wait for the first read of a weight so that a loaded backbone is never
 drawn."""
@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dvpt import DvptConfig, VitConfig, binfile
+from dvpt import DvptConfig, VitConfig, binfile, worker
 from dvpt.checkpoint import (CorruptCheckpointError, load_backbone, load_checkpoint,
                              load_task_params, save_checkpoint, save_trainable)
 from dvpt.data import CorruptDatasetError, Dataset, load_dataset, save_dataset
@@ -541,7 +541,7 @@ def test_a_checkpoint_cut_inside_its_trailer_is_corrupt(tmp_path, opened, cut):
 
 
 # ---------------------------------------------------------------------------
-# chunked payload reads and the CRC worker
+# chunked payload reads and the CRC job on the worker
 
 SMALL_CHUNK = 64  # bytes, so that desk-sized payloads span several chunks
 # payload sizes at and around the first four chunk boundaries
@@ -553,8 +553,10 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(binfile, "CHUNK", SMALL_CHUNK)
 
 
-def record_threads(mp):
-    """Every thread started through ``threading.Thread`` from here on."""
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started through ``threading.Thread`` during the test,
+    across all of a hypothesis test's examples."""
     started = []
     thread = threading.Thread
 
@@ -562,8 +564,28 @@ def record_threads(mp):
         started.append(thread(*args, **kwargs))
         return started[-1]
 
-    mp.setattr(threading, "Thread", recording_thread)
+    monkeypatch.setattr(threading, "Thread", recording_thread)
     return started
+
+
+def count_jobs(mp):
+    """A one-item list counting the jobs submitted to the worker from here on."""
+    count = [0]
+    submit = worker.submit
+
+    def counted(fn):
+        count[0] += 1
+        return submit(fn)
+
+    mp.setattr(worker, "submit", counted)
+    return count
+
+
+def worker_is_free():
+    """Whether a no-op job returns within 10 s, so no earlier job holds the worker."""
+    ran = threading.Event()
+    worker.submit(ran.set)
+    return ran.wait(10)
 
 
 @pytest.mark.parametrize("nbytes", _BYTE_SIZES)
@@ -596,19 +618,18 @@ _SCALAR_COUNTS = [0, 1] + [k * SMALL_CHUNK // 4 + d for k in range(1, 5) for d i
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(count=st.sampled_from(_SCALAR_COUNTS), data=st.data())
-def test_a_checkpoint_round_trips_through_chunked_reads(tmp_path, count, data):
+def test_a_checkpoint_round_trips_through_chunked_reads(tmp_path, thread_starts, count, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=2), label="cuts"))
     values = np.random.default_rng(count).normal(size=count).astype(np.float32)
     tensors = {name: part for name, part in zip("abc", np.split(values, cuts))}
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, tensors)
-    before = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binfile, "CHUNK", SMALL_CHUNK)
-        started = record_threads(mp)
+        jobs = count_jobs(mp)
         loaded = load_checkpoint(path)
-    assert threading.active_count() == before
-    assert len(started) == (4 * count > SMALL_CHUNK)  # a worker only past one chunk
+    assert jobs[0] == (4 * count > SMALL_CHUNK)  # a job only past one chunk
+    assert len(thread_starts) <= 1 and worker_is_free()  # one worker for every example
     assert path.read_bytes()[-4:] == struct.pack("<I", zlib.crc32(values))
     assert {name: arr.tobytes() for name, arr in loaded.items()} == {
         name: arr.tobytes() for name, arr in tensors.items()}
@@ -631,11 +652,10 @@ def test_a_short_read_in_a_later_chunk_is_corrupt(tmp_path, monkeypatch, small_c
         return ShortRead(files[-1], "readinto", short_from=3)
 
     monkeypatch.setattr(binfile, "open", short_open, raising=False)
-    before = threading.active_count()
     with pytest.raises(CorruptCheckpointError,
                        match=f"truncated payload: read 191 of 400 bytes at offset {offset}$"):
         load_checkpoint(path)
-    assert threading.active_count() == before
+    assert worker_is_free()
     assert len(files) == 1 and files[0].closed
 
 
@@ -645,10 +665,9 @@ def test_a_flipped_byte_in_the_last_chunk_fails_the_crc(tmp_path, opened, small_
     blob[-5] ^= 0x01  # last payload byte
     path.write_bytes(bytes(blob))
     del opened[:]
-    before = threading.active_count()
     with pytest.raises(CorruptCheckpointError, match="payload CRC mismatch$"):
         load_checkpoint(path)
-    assert threading.active_count() == before
+    assert worker_is_free()
     assert len(opened) == 1 and opened[0].closed
 
 
@@ -664,10 +683,9 @@ def test_an_error_on_the_crc_worker_reaches_the_caller(tmp_path, monkeypatch, op
 
     monkeypatch.setattr(zlib, "crc32", failing_off_the_main_thread)
     del opened[:]
-    before = threading.active_count()
     with pytest.raises(MemoryError, match="no memory on the worker"):
         load_checkpoint(path)
-    assert threading.active_count() == before
+    assert worker_is_free()
     assert len(opened) == 1 and opened[0].closed
 
 
@@ -698,15 +716,18 @@ def test_an_interrupted_load_joins_its_worker_and_closes_the_file(tmp_path, monk
         return InterruptedRead(files[-1], at=4)
 
     monkeypatch.setattr(binfile, "open", interrupting_open, raising=False)
-    before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
         load_checkpoint(path)
-    assert threading.active_count() == before
+    assert worker_is_free()
     assert len(files) == 1 and files[0].closed
 
 
 def _no_thread(*args, **kwargs):
     raise AssertionError("a load started a thread")
+
+
+def _no_job(fn):
+    raise AssertionError("a load submitted a job")
 
 
 @pytest.mark.parametrize("chunk, count", [(None, 1000), (SMALL_CHUNK, SMALL_CHUNK // 4)],
@@ -718,6 +739,7 @@ def test_a_one_chunk_checkpoint_load_starts_no_thread(tmp_path, monkeypatch, chu
     values = np.arange(count, dtype=np.float32)
     save_checkpoint(path, {"w": values})
     monkeypatch.setattr(threading, "Thread", _no_thread)
+    monkeypatch.setattr(worker, "submit", _no_job)
     assert load_checkpoint(path)["w"].tobytes() == values.tobytes()
 
 
@@ -733,6 +755,7 @@ def test_a_dataset_load_computes_no_crc_and_starts_no_thread(tmp_path, monkeypat
         raise AssertionError("a dataset load computed a CRC")
 
     monkeypatch.setattr(threading, "Thread", _no_thread)
+    monkeypatch.setattr(worker, "submit", _no_job)
     monkeypatch.setattr(zlib, "crc32", no_crc)
     back = load_dataset(path)
     assert back.images.tobytes() == ds.images.tobytes()

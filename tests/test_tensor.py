@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dvpt import tensor as T
+from dvpt import worker
 from dvpt.tensor import GradError, ShapeError, Tape, Tensor, backward
 
 from conftest import finite_diff, rel_err
@@ -465,6 +466,31 @@ def test_attention_equals_unfused_chain_bitwise(dtype, layout, shared_kv):
     _assert_same_bits(fused, unfused)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(3, 0), (2, 3, 0)])
+@pytest.mark.parametrize("op", ["linear", "matmul"])
+def test_a_product_over_a_zero_inner_dimension_matches_numpy(dtype, x_shape, op):
+    """K = 0: numpy's product is zeros of shape (..., N), and so are the
+    forward and every gradient here, against numpy's own arithmetic."""
+    x = Tensor(np.zeros(x_shape, dtype), requires_grad=True)
+    w = Tensor(np.zeros((0, 4), dtype), requires_grad=True)
+    b = Tensor(np.arange(4, dtype=dtype), requires_grad=True)
+    with Tape() as tape:
+        out = T.linear(x, w, b) if op == "linear" else T.matmul(x, w)
+        loss = T.tsum(out)
+    backward(loss, tape)
+    og, batch = np.ones(x_shape[:-1] + (4,), dtype), tuple(range(len(x_shape) - 1))
+    expected = [np.matmul(x.data, w.data) + (b.data if op == "linear" else 0),
+                og @ w.data.T, np.tensordot(x.data, og, axes=(batch, batch))]
+    got = [out.data, x.grad, w.grad]
+    if op == "linear":
+        expected.append(og.sum(axis=batch))  # [3 3 3 3] or [6 6 6 6]
+        got.append(b.grad)
+    else:
+        assert b.grad is None
+    _assert_same_bits(got, expected)
+
+
 def test_linear_rejects_a_bias_it_cannot_add_in_place():
     x, w = Tensor(np.ones((2, 3), np.float32)), Tensor(np.ones((3, 4), np.float32))
     for bias in (np.ones((1, 4), np.float32), np.ones(5, np.float32), np.ones(4, np.float64)):
@@ -811,7 +837,7 @@ def test_erf_writes_in_place_and_takes_any_layout(dtype):
 
 # ---------------------------------------------------------------------------
 # row-split products: a large product by a 2-D weight is split by rows
-# between the caller and the gemm worker, and keeps every bit
+# between the caller and the package's worker thread, and keeps every bit
 
 # ViT-B/16's 2-D weights, as (in, out): the patch embedding and attention
 # projections, the FFN, the adapter's down and up projections and the head.
@@ -825,22 +851,22 @@ def _allow_cpus(monkeypatch, count):
 
 @pytest.fixture
 def splits(monkeypatch):
-    """Two CPUs, whatever the machine has; counts the products that reach
-    the gemm worker."""
+    """Two CPUs, whatever the machine has; counts the jobs submitted to the
+    worker, each the first half of a product."""
     _allow_cpus(monkeypatch, 2)
     count = [0]
-    jobs = T._gemm_jobs
+    submit = worker.submit
 
-    def counted():
+    def counted(fn):
         count[0] += 1
-        return jobs()
+        return submit(fn)
 
-    monkeypatch.setattr(T, "_gemm_jobs", counted)
+    monkeypatch.setattr(worker, "submit", counted)
     return count
 
 
-def _gemm_threads():
-    return [t for t in threading.enumerate() if t.name == "dvpt-gemm"]
+def _worker_threads():
+    return [t for t in threading.enumerate() if t.name == "dvpt-worker"]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -925,7 +951,7 @@ def test_split_hands_a_worker_error_to_the_caller(splits, monkeypatch):
     matmul = np.matmul
 
     def failing_on_the_worker(*args, **kwargs):
-        if threading.current_thread().name == "dvpt-gemm":
+        if threading.current_thread().name == "dvpt-worker":
             raise MemoryError("worker half")
         return matmul(*args, **kwargs)
 
@@ -963,7 +989,7 @@ def test_split_product_keeps_no_reference_to_its_weight(splits):
 def _split_in_a_child():
     a, b = np.ones((64, 768)), np.full((768, 768), 0.5)
     assert T._product(a, b).tobytes() == (a @ b).tobytes()
-    assert T._worker[0] == os.getpid()
+    assert worker._jobs[0] == os.getpid()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -980,8 +1006,8 @@ def test_split_works_in_a_forked_child(splits):
 
 
 def test_split_from_many_caller_threads_at_once(splits, monkeypatch):
-    monkeypatch.setattr(T, "_worker", None)  # the callers race to start it
-    started_with = len(_gemm_threads())
+    monkeypatch.setattr(worker, "_jobs", None)  # the callers race to start it
+    started_with = len(_worker_threads())
     rng = np.random.default_rng(51)
     b = rng.normal(size=(768, 768)).astype(np.float32)
     inputs = [rng.normal(size=(97 + i, 768)).astype(np.float32) for i in range(4)]
@@ -1004,23 +1030,23 @@ def test_split_from_many_caller_threads_at_once(splits, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert not wrong and splits[0] == 40
-    assert len(_gemm_threads()) == started_with + 1  # one worker, whoever started it
+    assert len(_worker_threads()) == started_with + 1  # one worker, whoever started it
 
 
 def test_split_with_one_cpu_starts_no_thread(monkeypatch):
     _allow_cpus(monkeypatch, 1)
-    monkeypatch.setattr(T, "_worker", None)
+    monkeypatch.setattr(worker, "_jobs", None)
     threads = threading.enumerate()
     a, b = np.ones((2592, 768), np.float32), np.ones((768, 3072), np.float32)
     assert T._product(a, b).tobytes() == (a @ b).tobytes()
-    assert threading.enumerate() == threads and T._worker is None
+    assert threading.enumerate() == threads and worker._jobs is None
 
 
 def test_split_is_never_reached_by_mid_config_training_or_evaluation(splits, monkeypatch):
     from dvpt import training
     from dvpt.model import model_for_policy
 
-    monkeypatch.setattr(T, "_worker", None)
+    monkeypatch.setattr(worker, "_jobs", None)
     threads = threading.enumerate()
     shape = _benchmark_finetune_shape()
     cfg = shape.vit
@@ -1031,4 +1057,4 @@ def test_split_is_never_reached_by_mid_config_training_or_evaluation(splits, mon
         model, frozen = model_for_policy(cfg, shape.dvpt, policy, seed=0)
         training.train_loop(model, images, labels, frozen, epochs=1,
                             batch_size=shape.batch_size)  # evaluates 32 images at once
-    assert threading.enumerate() == threads and T._worker is None and splits[0] == 0
+    assert threading.enumerate() == threads and worker._jobs is None and splits[0] == 0
