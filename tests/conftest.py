@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dvpt import DvptConfig, VitConfig
+from dvpt import DvptConfig, VitConfig, worker
 
 
 @pytest.fixture
@@ -19,6 +19,21 @@ def desk_dvpt():
 def paper_cfg():
     return VitConfig(image_h=224, image_w=224, channels=3, patch_size=16,
                      embed_dim=768, depth=12, heads=12, num_classes=5)
+
+
+@pytest.fixture
+def jobs(monkeypatch):
+    """A one-item list counting the jobs submitted to the package's worker
+    during the test (across all of a hypothesis test's examples)."""
+    count = [0]
+    submit = worker.submit
+
+    def counted(fn):
+        count[0] += 1
+        return submit(fn)
+
+    monkeypatch.setattr(worker, "submit", counted)
+    return count
 
 
 def finite_diff(fn, arr, step=1e-5):

@@ -850,19 +850,11 @@ def _allow_cpus(monkeypatch, count):
 
 
 @pytest.fixture
-def splits(monkeypatch):
+def splits(monkeypatch, jobs):
     """Two CPUs, whatever the machine has; counts the jobs submitted to the
     worker, each the first half of a product."""
     _allow_cpus(monkeypatch, 2)
-    count = [0]
-    submit = worker.submit
-
-    def counted(fn):
-        count[0] += 1
-        return submit(fn)
-
-    monkeypatch.setattr(worker, "submit", counted)
-    return count
+    return jobs
 
 
 def _worker_threads():

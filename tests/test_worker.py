@@ -39,20 +39,6 @@ def chunked(tmp_path, monkeypatch):
     return path, values
 
 
-@pytest.fixture
-def jobs(monkeypatch):
-    """A one-item list counting the jobs submitted to the worker."""
-    count = [0]
-    submit = worker.submit
-
-    def counted(fn):
-        count[0] += 1
-        return submit(fn)
-
-    monkeypatch.setattr(worker, "submit", counted)
-    return count
-
-
 def test_the_worker_keeps_nothing_of_a_job_once_its_submitter_returns(two_cpus, chunked,
                                                                         jobs):
     # A served weight views the whole loaded backbone, and a product's output
