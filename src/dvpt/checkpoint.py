@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from . import binfile, training
+from . import binfile
 from . import model as model_mod
 
 MAGIC = b"DVPT"
@@ -104,18 +104,14 @@ def load_backbone(model, tensors):
 
     Every backbone parameter of the model must be present with the exact
     shape; head / prompt / adapter entries in the checkpoint are ignored
-    (they are task-specific).  Then pins the process's heap
-    (``training._pin_heap``), so that each forward pass the model runs
-    reuses the pages the one before it freed: set-up frees no large array
-    once the loaded weights were never drawn, so glibc's own mmap
-    threshold would stay at its default.
+    (they are task-specific).  Changes no process state: the forward
+    loops pin the heap (``training.predict``).
     """
     names = list(filter(model_mod.is_backbone_param, model.params))
     for name in names:
         if name not in tensors:
             raise ArchitectureMismatchError(f"backbone tensor {name!r} missing from checkpoint")
     _assign(model, {name: tensors[name] for name in names}, "backbone tensor")
-    training._pin_heap()
 
 
 def load_task_params(model, tensors):

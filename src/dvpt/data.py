@@ -100,31 +100,39 @@ def _classification_image(rng, family, grade, h, w, noise):
 
 def synth_generate(task, count, seed, difficulty=0.3, family="a",
                    h=16, w=16, channels=1, num_classes=5):
-    """Generate a synthetic dataset, bitwise-reproducible from the seed."""
+    """Generate a synthetic dataset, bitwise-reproducible from the seed.
+    Raises DatasetError on bad parameters: blobs need sides of at least 4,
+    and a pixel float32 cannot hold is an error, not a warning."""
     if count <= 0:
         raise DatasetError(f"count must be positive, got {count}")
     if family not in ("a", "b"):
         raise DatasetError(f"family must be 'a' or 'b', got {family!r}")
+    if task not in _TASK_TAGS:
+        raise DatasetError(f"unknown task {task!r}")
     if not 0 <= difficulty < math.inf:
         raise DatasetError(f"difficulty must be finite and >= 0, got {difficulty}")
+    if min(h, w) < 4 and (task == "segmentation" or family == "a"):  # blobs sit 2 from an edge
+        raise DatasetError(f"blob images need sides of at least 4, got {h}x{w}")
     rng = np.random.default_rng(seed)
     images = np.empty((count, h, w, channels), dtype=np.float32)
-    if task == "classification":
-        labels = rng.integers(0, num_classes, size=count).astype(np.uint16)
-        for i in range(count):
-            img = _classification_image(rng, family, int(labels[i]), h, w, difficulty)
-            images[i] = img.astype(np.float32)[:, :, None]
-        return Dataset(images, labels, "classification", num_classes)
-    if task != "segmentation":
-        raise DatasetError(f"unknown task {task!r}")
-    labels = np.empty((count, h, w), dtype=np.uint16)
-    for i in range(count):
-        n_blobs = int(rng.integers(1, 4))
-        clean = _blob_image(rng, h, w, n_blobs, sigma=2.0 if family == "a" else 1.2)
-        labels[i] = (clean > 0.5).astype(np.uint16)
-        noisy = clean + rng.normal(0.0, difficulty, size=(h, w))
-        images[i] = noisy.astype(np.float32)[:, :, None]
-    return Dataset(images, labels, "segmentation", 2)
+    with np.errstate(over="ignore"):  # an overflowed pixel is reported below
+        if task == "classification":
+            labels = rng.integers(0, num_classes, size=count).astype(np.uint16)
+            for i in range(count):
+                img = _classification_image(rng, family, int(labels[i]), h, w, difficulty)
+                images[i] = img.astype(np.float32)[:, :, None]
+        else:
+            labels = np.empty((count, h, w), dtype=np.uint16)
+            num_classes = 2  # a mask pixel is background or foreground
+            for i in range(count):
+                n_blobs = int(rng.integers(1, 4))
+                clean = _blob_image(rng, h, w, n_blobs, sigma=2.0 if family == "a" else 1.2)
+                labels[i] = (clean > 0.5).astype(np.uint16)
+                noisy = clean + rng.normal(0.0, difficulty, size=(h, w))
+                images[i] = noisy.astype(np.float32)[:, :, None]
+    if not np.isfinite(images).all():
+        raise DatasetError(f"difficulty {difficulty} gives a pixel outside float32's range")
+    return Dataset(images, labels, task, num_classes)
 
 
 def label_shape(task, image_shape):

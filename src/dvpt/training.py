@@ -26,9 +26,9 @@ _OVERFLOW_CHECKED = dict(over="ignore", invalid="ignore")
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator eps
 PREDICT_BATCH = 32  # images per untaped forward in predict and evaluate
 FD_STEP = 1e-5  # grad_check's central-difference perturbation
-# glibc heap settings for train_loop: arrays below HEAP_MMAP_THRESHOLD come
-# from the heap rather than from fresh mappings, and the heap keeps up to
-# HEAP_TRIM_THRESHOLD of free memory at its top instead of handing it back.
+# glibc heap settings, set only by the forward loops (train_loop, predict):
+# arrays below HEAP_MMAP_THRESHOLD come from the heap, not fresh mappings, and
+# the heap keeps up to HEAP_TRIM_THRESHOLD free at its top instead of trimming.
 HEAP_MMAP_THRESHOLD = 32 << 20
 HEAP_TRIM_THRESHOLD = 1 << 30
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
@@ -266,8 +266,10 @@ def predict(model, images):
     """Logits for a stack of images, computed without taping,
     ``PREDICT_BATCH`` images at a time, under ``_OVERFLOW_CHECKED``.
     Raises ContractError on images ``_check_images`` rejects, or naming the
-    first sample whose logits are not finite."""
+    first sample whose logits are not finite.  Pins the process's heap
+    (``_pin_heap``) once the images are accepted."""
     _check_images(model.cfg, images)
+    _pin_heap()
     outs = []
     with np.errstate(**_OVERFLOW_CHECKED):
         for start in range(0, len(images), PREDICT_BATCH):
@@ -306,8 +308,10 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
     tape alive: the analytic pass's tape is dropped once its backward has
     run.  Returns a dict with the max relative error and pass flag.
     Raises ContractError unless ``samples`` >= 1, ``tol`` is positive and
-    finite and ``_check_batch`` accepts the batch; a rejected batch leaves
-    every ``grad`` as it was.
+    finite and ``_check_batch`` accepts the batch; a rejected batch, or a
+    non-finite loss, leaves every ``grad`` as it was.  The passes run under
+    ``_OVERFLOW_CHECKED`` and raise ContractError, naming the tensor, on a
+    non-finite gradient or perturbed loss, so no NaN reads as a pass.
     """
     if samples < 1:
         raise ContractError(f"grad_check samples must be >= 1, got {samples}")
@@ -315,13 +319,18 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
         raise ContractError(f"grad_check tol must be positive and finite, got {tol}")
     if model.dtype != np.float64:
         raise ContractError("grad_check requires a float64 model")
-    with Tape() as tape:
+    with np.errstate(**_OVERFLOW_CHECKED), Tape() as tape:
         loss = batch_loss(model, images, labels)
-    model.zero_grad()
-    backward(loss, tape)
+        if not np.isfinite(loss.item()):
+            raise ContractError(f"non-finite loss {loss.item()}{_HUGE_INPUT}")
+        model.zero_grad()
+        backward(loss, tape)
     del tape  # the finite-difference forwards below run untaped
 
     trainable = model.trainable()
+    for name, param in trainable:
+        if not np.isfinite(param.grad).all():
+            raise ContractError(f"gradient of {name!r} is not finite{_HUGE_INPUT}")
     sizes = np.array([t.size for _, t in trainable])
     rng = np.random.default_rng(seed)
     flat_choices = rng.choice(int(sizes.sum()), size=min(samples, int(sizes.sum())),
@@ -330,22 +339,25 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
 
     worst = 0.0
     records = []
-    for flat in sorted(flat_choices):
-        tensor_idx = int(np.searchsorted(offsets, flat, side="right"))
-        local = int(flat - (offsets[tensor_idx - 1] if tensor_idx else 0))
-        name, param = trainable[tensor_idx]
-        original = param.data.ravel()[local]
-        param.data.ravel()[local] = original + FD_STEP
-        up = batch_loss(model, images, labels).item()
-        param.data.ravel()[local] = original - FD_STEP
-        down = batch_loss(model, images, labels).item()
-        param.data.ravel()[local] = original
-        fd = (up - down) / (2.0 * FD_STEP)
-        analytic = param.grad.ravel()[local]
-        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6)
-        worst = max(worst, rel)
-        records.append({"name": name, "index": local, "analytic": float(analytic),
-                        "finite_diff": float(fd), "rel_err": float(rel)})
+    with np.errstate(**_OVERFLOW_CHECKED):  # rel is finite or inf once fd is finite
+        for flat in sorted(flat_choices):
+            tensor_idx = int(np.searchsorted(offsets, flat, side="right"))
+            local = int(flat - (offsets[tensor_idx - 1] if tensor_idx else 0))
+            name, param = trainable[tensor_idx]
+            original = param.data.ravel()[local]
+            param.data.ravel()[local] = original + FD_STEP
+            up = batch_loss(model, images, labels).item()
+            param.data.ravel()[local] = original - FD_STEP
+            down = batch_loss(model, images, labels).item()
+            param.data.ravel()[local] = original
+            fd = (up - down) / (2.0 * FD_STEP)
+            if not np.isfinite([up, down, fd]).all():
+                raise ContractError(f"perturbing {name!r} gives a non-finite loss{_HUGE_INPUT}")
+            analytic = param.grad.ravel()[local]
+            rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6)
+            worst = max(worst, rel)
+            records.append({"name": name, "index": local, "analytic": float(analytic),
+                            "finite_diff": float(fd), "rel_err": float(rel)})
     return {"max_rel_err": worst, "passed": worst < tol, "tol": tol,
             "samples": records}
 
@@ -361,9 +373,9 @@ def _digest(array):
 
 def _pin_heap():
     """Pin glibc's heap to ``HEAP_MMAP_THRESHOLD`` and ``HEAP_TRIM_THRESHOLD``
-    for the rest of the process, so each step reuses the pages the step
-    before it freed rather than faulting new ones in.  Returns False, and
-    changes nothing, where the C library has no ``mallopt``."""
+    for the rest of the process, so each step or forward reuses the pages
+    the one before it freed rather than faulting new ones in.  Returns
+    False, and changes nothing, where the C library has no ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, TypeError):  # no mallopt; CDLL(None) is a TypeError on Windows

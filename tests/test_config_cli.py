@@ -220,6 +220,38 @@ class TestCliExitCodes:
         assert code == cli.EXIT_CONFIG
         assert err.count("\n") == 1 and str(missing) in err
 
+    def test_grad_check_on_a_nan_loss_exits_two_instead_of_passing(self, tmp_path, capsys):
+        # a finite gate the config accepts, large enough to make the loss NaN
+        code = cli.main(["grad-check", "--config", write_config(tmp_path, gate_init=1e160)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert not captured.out and captured.err.startswith("config error: non-finite loss nan")
+
+    @pytest.mark.parametrize("family, exit_code", [("a", cli.EXIT_CONFIG), ("b", cli.EXIT_OK)])
+    @pytest.mark.parametrize("command", ["pretrain", "grad-check"])
+    def test_two_pixel_images_exit_two_on_blobs_and_run_on_gratings(self, tmp_path, capsys,
+                                                                     command, family, exit_code):
+        cfg = write_config(tmp_path, family=family, count=4, mutate=lambda t: t.replace(
+            "image_h = 16", "image_h = 2").replace("image_w = 16", "image_w = 2").replace(
+            "patch_size = 4", "patch_size = 1").replace("embed_dim = 32", "embed_dim = 8").replace(
+            "heads = 4", "heads = 2"))
+        out = ["--out", str(tmp_path / "o.ckpt")] if command == "pretrain" else []
+        code = cli.main([command, "--config", cfg, *out])
+        err = capsys.readouterr().err
+        assert code == exit_code
+        if exit_code == cli.EXIT_CONFIG:
+            assert err == "config error: blob images need sides of at least 4, got 2x2\n"
+            assert not (tmp_path / "o.ckpt").exists()
+
+    def test_synth_data_whose_pixels_overflow_float32_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mutate=lambda t: t.replace(
+            "difficulty = 0.3", "difficulty = 1e308"))
+        code = cli.main(["synth-data", "--config", cfg, "--out", str(tmp_path / "x.dvds")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and not (tmp_path / "x.dvds").exists()
+        assert captured.err == ("config error: difficulty 1e+308 gives a pixel outside "
+                                "float32's range\n")
+
 
 def dataset_config(tmp_path, dataset):
     """A run config whose [data] reads ``dataset`` from a DVDS file."""

@@ -156,6 +156,33 @@ def test_save_rejects_what_the_format_cannot_hold_before_any_file_exists(tmp_pat
     assert os.listdir(tmp_path) == []
 
 
+_BLOB_KINDS = [("classification", "a"), ("segmentation", "a"), ("segmentation", "b")]
+
+
+@pytest.mark.parametrize("task, family", _BLOB_KINDS)
+@pytest.mark.parametrize("h, w", [(2, 2), (3, 16), (16, 3)])
+def test_blob_images_with_a_side_under_four_are_rejected_before_any_draw(task, family, h, w):
+    with pytest.raises(DatasetError, match=rf"^blob images need sides of at least 4, got {h}x{w}$"):
+        synth_generate(task, 3, seed=0, family=family, h=h, w=w)
+
+
+@pytest.mark.parametrize("task, family, side", [(*kind, 4) for kind in _BLOB_KINDS]
+                         + [("classification", "b", 2), ("classification", "b", 1)])
+def test_gratings_at_any_side_and_blobs_from_side_four_generate(task, family, side):
+    ds = synth_generate(task, 5, seed=3, family=family, h=side, w=side)
+    assert ds.images.shape == (5, side, side, 1) and np.isfinite(ds.images).all()
+
+
+@pytest.mark.parametrize("task, family", _BLOB_KINDS + [("classification", "b")])
+def test_a_difficulty_whose_pixels_overflow_float32_is_rejected_with_no_warning(task, family):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DatasetError,
+                           match=r"^difficulty 1e\+308 gives a pixel outside float32's range$"):
+            synth_generate(task, 3, seed=0, family=family, difficulty=1e308)
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("pixel, message", [
     (1e300, r"^images hold a pixel outside float32's range \(magnitude above 3\.4028235e\+38\)$"),
     (-3.5e38, r"^images hold a pixel outside float32's range"),

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import gc
 import json
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from dvpt import DvptConfig, VitConfig
 from dvpt import tensor as T
 from dvpt import training
+from dvpt.binfile import atomic_write
 from dvpt.checkpoint import load_backbone, load_checkpoint, load_task_params, save_trainable
+from dvpt.data import load_dataset, save_dataset, synth_generate
 from dvpt.model import Model, model_for_policy
 from dvpt.tensor import Tape, Tensor, backward
 from dvpt.training import (AdamState, ContractError, MetricsReport, adam_step,
@@ -332,6 +335,43 @@ class TestGradCheck:
         with pytest.raises(ContractError, match=match):
             grad_check(model, np.zeros((1, 16, 16, 1)), np.array([0]), **kwargs)
 
+    def test_a_non_finite_loss_raises_before_any_grad_changes(self, desk_cfg, desk_dvpt):
+        model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=11, dtype=np.float64)
+        images = np.random.default_rng(12).normal(size=(2, 16, 16, 1))
+        images[1, 3, 3, 0] = np.inf
+        grads = {name: np.full(t.shape, 7.0) for name, t in model.params.items()}
+        for name, t in model.params.items():
+            t.grad = grads[name]
+        with pytest.raises(ContractError, match=r"^non-finite loss nan: the input data may"):
+            grad_check(model, images, np.array([0, 2]), samples=3)
+        assert all(t.grad is grads[name] for name, t in model.params.items())
+
+    def test_a_non_finite_gradient_is_named(self, desk_cfg, desk_dvpt, monkeypatch):
+        model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=11, dtype=np.float64)
+        name, param = model.trainable()[-1]
+        real = T.backward
+
+        def backward_with_a_nan_gradient(loss, tape):
+            real(loss, tape)
+            param.grad.flat[0] = np.nan
+
+        monkeypatch.setattr(training, "backward", backward_with_a_nan_gradient)
+        with pytest.raises(ContractError, match=rf"^gradient of {re.escape(repr(name))} is not"):
+            grad_check(model, np.zeros((1, 16, 16, 1)), np.array([0]), samples=3)
+
+    def test_a_non_finite_perturbed_loss_is_named(self, desk_cfg, desk_dvpt, monkeypatch):
+        model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=11, dtype=np.float64)
+        real, calls = training.batch_loss, []
+
+        def nan_after_the_analytic_pass(*args):
+            calls.append(None)
+            loss = real(*args)
+            return loss if len(calls) == 1 else Tensor(np.array(np.nan))
+
+        monkeypatch.setattr(training, "batch_loss", nan_after_the_analytic_pass)
+        with pytest.raises(ContractError, match=r"^perturbing '.+' gives a non-finite loss"):
+            grad_check(model, np.zeros((1, 16, 16, 1)), np.array([0]), samples=1)
+
     def test_finite_difference_forwards_run_with_no_tape_alive(self, desk_cfg, desk_dvpt,
                                                                 monkeypatch):
         tapes = _watch_tapes(monkeypatch)
@@ -631,9 +671,11 @@ def test_pin_heap_changes_nothing_without_mallopt(monkeypatch, cdll):
     assert training._pin_heap() is False
 
 
-@pytest.mark.parametrize("entry, pins", [("predict", 0), ("evaluate", 0),
-                                         ("grad_check", 0), ("train_loop", 1)])
-def test_only_train_loop_pins_the_heap(desk_cfg, desk_dvpt, monkeypatch, entry, pins):
+@pytest.mark.parametrize("entry, pins", [
+    ("predict", 1), ("evaluate", 1), ("grad_check", 0), ("train_loop", 1),
+    ("train_loop with metrics", 3),  # one pin, then one predict per epoch's evaluate
+])
+def test_the_forward_loops_pin_the_heap(desk_cfg, desk_dvpt, monkeypatch, entry, pins):
     model, freeze = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=0, dtype=np.float64)
     rng = np.random.default_rng(8)
     images, labels = rng.normal(size=(4, 16, 16, 1)), rng.integers(0, 5, size=4)
@@ -644,22 +686,97 @@ def test_only_train_loop_pins_the_heap(desk_cfg, desk_dvpt, monkeypatch, entry, 
         "evaluate": lambda: training.evaluate(model, images, labels),
         "grad_check": lambda: grad_check(model, images[:1], labels[:1], samples=2),
         "train_loop": lambda: train_loop(model, images, labels, freeze, epochs=2,
-                                         batch_size=2, seed=0),
+                                         batch_size=2, seed=0, eval_metrics=False),
+        "train_loop with metrics": lambda: train_loop(model, images, labels, freeze, epochs=2,
+                                                      batch_size=2, seed=0),
     }
     run[entry]()
-    assert len(calls) == pins  # once per train_loop call, not once per epoch
+    assert len(calls) == pins  # train_loop itself pins once per call, not once per epoch
 
 
-def test_loading_a_backbone_pins_the_heap(desk_cfg, desk_dvpt, monkeypatch, tmp_path):
+@pytest.mark.parametrize("entry", ["predict", "evaluate", "train_loop"])
+def test_a_rejected_forward_loop_pins_nothing(desk_cfg, desk_dvpt, monkeypatch, entry):
+    model, freeze = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=0)
+    images, labels = np.zeros((2, 8, 8, 1)), np.zeros(2, int)  # not the model's geometry
+    calls = []
+    monkeypatch.setattr(training, "_pin_heap", lambda: calls.append(None))
+    run = {
+        "predict": lambda: training.predict(model, images),
+        "evaluate": lambda: training.evaluate(model, images, labels),
+        "train_loop": lambda: train_loop(model, images, labels, freeze, epochs=1),
+    }
+    with pytest.raises(ContractError, match="images shaped"):
+        run[entry]()
+    assert calls == []
+
+
+def test_no_loader_or_writer_calls_mallopt(desk_cfg, desk_dvpt, monkeypatch, tmp_path):
+    libc = _Libc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
     src, _ = model_for_policy(desk_cfg, None, "full_finetune", seed=0)
     save_trainable(tmp_path / "full.ckpt", src)
     save_trainable(tmp_path / "task.ckpt", model_for_policy(desk_cfg, desk_dvpt, "dvpt")[0])
+    save_dataset(tmp_path / "train.dvds", synth_generate("classification", 4, seed=0))
+    atomic_write(tmp_path / "history.csv", [b"epoch,loss\n"])
     model, _ = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=1)
-    calls = []
-    monkeypatch.setattr(training, "_pin_heap", lambda: calls.append(None))
     load_backbone(model, load_checkpoint(tmp_path / "full.ckpt"))
     load_task_params(model, load_checkpoint(tmp_path / "task.ckpt"))
-    assert len(calls) == 1
+    dataset = load_dataset(tmp_path / "train.dvds")
+    assert libc.calls == []
+    training.predict(model, dataset.images)  # the stand-in library sees a forward loop's pin
+    assert len(libc.calls) == 2
+
+
+# Counts the minor page faults of each predict call in a process of its own
+# that serves a backbone written beforehand: load_backbone pins nothing, so
+# whatever keeps the later calls from faulting is predict's own pin.
+_PREDICT_FAULTS = """
+import json, resource
+import numpy as np
+from dvpt import DvptConfig, VitConfig, training
+from dvpt.checkpoint import load_backbone, load_checkpoint
+from dvpt.model import model_for_policy
+
+model, _ = model_for_policy({cfg!r}, {dvpt!r}, "dvpt", seed=1)
+load_backbone(model, load_checkpoint({path!r}))
+images = np.random.default_rng(6).normal(size=(16, 32, 32, 1)).astype(np.float32)
+faults = []
+for _ in range(6):
+    faults.append(-resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    training.predict(model, images)
+    faults[-1] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({{"pinned": training._pin_heap(), "faults": faults}}))
+"""
+
+
+def test_a_served_predict_after_the_first_faults_almost_no_pages(tmp_path):
+    # the benchmark's mid config: at 16 images the FFN's hidden activations
+    # (~2.6 MB) are far above glibc's default mmap threshold (128 KiB)
+    cfg = VitConfig(image_h=32, image_w=32, channels=1, patch_size=4, embed_dim=128, depth=6,
+                    heads=4, num_classes=5)
+    dvpt = DvptConfig(num_prompts=16, hidden_dim=8)
+    save_trainable(tmp_path / "backbone.ckpt", model_for_policy(cfg, None, "full_finetune")[0])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = _PREDICT_FAULTS.format(cfg=cfg, dvpt=dvpt, path=str(tmp_path / "backbone.ckpt"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    if not report["pinned"]:
+        pytest.skip("the C library has no mallopt")
+    assert max(report["faults"][1:]) <= 128, report["faults"]
+
+
+def test_importing_the_file_formats_does_not_import_training():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = ("import sys, dvpt.checkpoint, dvpt.binfile, dvpt.data; "
+            "print(sorted(name for name in sys.modules if name.startswith('dvpt.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "dvpt.checkpoint" in proc.stdout and "dvpt.training" not in proc.stdout, proc.stdout
 
 
 def test_train_loop_reports_a_frozen_tensor_that_changed(desk_cfg, desk_dvpt, monkeypatch):
