@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binfile
-from .vit import ConfigError
+from .vit import ConfigError, check_num_classes
 
 MAGIC = b"DVDS"
 VERSION = 1
@@ -71,13 +71,8 @@ class DataConfig:
         return self
 
 
-def _grid(h, w):
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    return ys, xs
-
-
 def _blob_image(rng, h, w, n_blobs, sigma):
-    ys, xs = _grid(h, w)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     canvas = np.zeros((h, w))
     for _ in range(n_blobs):
         cy = rng.uniform(2, h - 2)
@@ -92,7 +87,7 @@ def _classification_image(rng, family, grade, h, w, noise):
     else:
         theta = rng.uniform(0.0, np.pi)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        ys, xs = _grid(h, w)
+        ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
         freq = (grade + 1) / float(w)
         img = 0.8 * np.sin(2.0 * np.pi * freq * (xs * np.cos(theta) + ys * np.sin(theta)) + phase)
     return img + rng.normal(0.0, noise, size=(h, w))
@@ -103,8 +98,10 @@ def synth_generate(task, count, seed, difficulty=0.3, family="a",
     """Generate a synthetic dataset, bitwise-reproducible from the seed.
     Raises DatasetError on bad parameters: blobs need sides of at least 4,
     and a pixel float32 cannot hold is an error, not a warning."""
-    if count <= 0:
-        raise DatasetError(f"count must be positive, got {count}")
+    if min(count, h, w, channels) <= 0:
+        raise DatasetError(f"count, sides and channels must be positive, "
+                           f"got {count} of {h}x{w}x{channels}")
+    check_num_classes(num_classes, DatasetError)
     if family not in ("a", "b"):
         raise DatasetError(f"family must be 'a' or 'b', got {family!r}")
     if task not in _TASK_TAGS:
@@ -167,9 +164,7 @@ def save_dataset(path, dataset):
         raise DatasetError(f"images must be (count, H, W, C), got shape {images.shape}")
     if dataset.task not in _TASK_TAGS:
         raise DatasetError(f"unknown task {dataset.task!r}")
-    num_classes = dataset.num_classes  # labels in [0, num_classes) are stored as u16
-    if not (isinstance(num_classes, (int, np.integer)) and 1 <= num_classes <= 1 << 16):
-        raise DatasetError(f"num_classes must be an integer in [1, 65536], got {num_classes!r}")
+    num_classes = check_num_classes(dataset.num_classes, DatasetError)
     labels = check_labels(dataset.labels, label_shape(dataset.task, images.shape),
                           num_classes, DatasetError)
     if not np.isfinite(images).all():
@@ -187,6 +182,7 @@ def load_dataset(path):
     buffer holding the whole payload."""
     with binfile.Reader(path, MAGIC, VERSION, CorruptDatasetError) as reader:
         count, h, w, c, tag, num_classes = reader.unpack("IIIIBI")
+        check_num_classes(num_classes, reader.error)
         if tag not in _TAG_TASKS:
             raise reader.error(f"unknown task tag {tag}")
         task = _TAG_TASKS[tag]

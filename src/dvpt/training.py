@@ -12,7 +12,7 @@ import numpy as np
 from . import tensor as T
 from .data import check_labels, label_shape
 from .tensor import Tape, Tensor, backward
-from .vit import ConfigError
+from .vit import MAX_CLASSES, ConfigError
 
 
 class ContractError(ValueError):
@@ -140,40 +140,31 @@ def adam_step(trainable, state):
 # ---------------------------------------------------------------------------
 # metrics
 
-def confusion_matrix(y_true, y_pred, num_classes):
-    y_true = np.asarray(y_true).ravel()
-    y_pred = np.asarray(y_pred).ravel()
-    out = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(out, (y_true, y_pred), 1)
-    return out
+def _label_pair(y_true, y_pred):
+    """Both label arrays, flat as int64; raises ContractError unless they are
+    integer arrays of one non-empty shape with every label in [0, MAX_CLASSES)."""
+    y_true = check_labels(y_true, np.shape(y_true), MAX_CLASSES, ContractError)
+    y_pred = check_labels(y_pred, y_true.shape, MAX_CLASSES, ContractError)
+    if not y_true.size:
+        raise ContractError("empty label arrays")
+    return y_true.astype(np.int64).ravel(), y_pred.astype(np.int64).ravel()
 
 
-def accuracy(confusion):
-    total = confusion.sum()
-    if total == 0:
-        raise ContractError("empty confusion matrix")
-    return float(np.trace(confusion)) / float(total)
+def accuracy(y_true, y_pred):
+    y_true, y_pred = _label_pair(y_true, y_pred)
+    return float(np.count_nonzero(y_true == y_pred)) / float(y_true.size)
 
 
-def quadratic_weighted_kappa(confusion):
-    """Chance-corrected ordinal agreement with (i-j)^2/(K-1)^2 weights."""
-    confusion = np.asarray(confusion, dtype=np.float64)
-    k = confusion.shape[0]
-    if k < 2 or confusion.shape[1] != k:
-        raise ContractError(f"confusion matrix must be KxK with K >= 2, got {confusion.shape}")
-    if (confusion < 0).any():
-        raise ContractError("confusion matrix has negative entries")
-    total = confusion.sum()
-    if total == 0:
-        raise ContractError("confusion matrix is all zeros")
-    idx = np.arange(k)
-    weights = ((idx[:, None] - idx[None, :]) ** 2) / float((k - 1) ** 2)
-    expected = np.outer(confusion.sum(axis=1), confusion.sum(axis=0)) / total
-    denom = (weights * expected).sum()
-    numer = (weights * confusion).sum()
-    if denom == 0.0:
-        return 1.0  # all mass in a single class on both sides
-    return float(1.0 - numer / denom)
+def quadratic_weighted_kappa(y_true, y_pred):
+    """Chance-corrected ordinal agreement with (i-j)^2/(K-1)^2 weights, read
+    from the labels: the (K-1)^2 scale cancels, and the chance term needs only
+    each side's label sum and sum of squares.  The sums are exact integers, so
+    the result is order-independent; 1.0 when both sides hold one class only."""
+    t, p = _label_pair(y_true, y_pred)
+    n = t.size
+    numer = n * int(np.dot(t - p, t - p))
+    denom = n * int(np.dot(t, t) + np.dot(p, p)) - 2 * int(t.sum()) * int(p.sum())
+    return 1.0 - numer / denom if denom else 1.0
 
 
 def dice_iou(pred_mask, true_mask):
@@ -290,9 +281,8 @@ def evaluate(model, images, labels):
     labels = _check_batch(model.cfg, model.task, images, labels)
     preds = predict(model, images).argmax(axis=-1)
     if model.task == "classification":
-        confusion = confusion_matrix(labels, preds, model.cfg.num_classes)
-        return MetricsReport(model.task, accuracy=accuracy(confusion),
-                             kappa=quadratic_weighted_kappa(confusion))
+        return MetricsReport(model.task, accuracy=accuracy(labels, preds),
+                             kappa=quadratic_weighted_kappa(labels, preds))
     dice, iou = dice_iou(preds > 0, labels > 0)
     return MetricsReport(model.task, dice=dice, iou=iou)
 

@@ -22,6 +22,18 @@ class ConfigError(ValueError):
     """Raised when a configuration violates its structural constraints."""
 
 
+# The one range of a class count K, inclusive: kappa needs two classes, and a
+# DVDS dataset file stores each label in [0, K) as a u16.
+MIN_CLASSES, MAX_CLASSES = 2, 1 << 16
+
+
+def check_num_classes(k, error):
+    """``k``; raises ``error(message)`` unless it is an integer in [MIN_CLASSES, MAX_CLASSES]."""
+    if not (isinstance(k, (int, np.integer)) and MIN_CLASSES <= k <= MAX_CLASSES):
+        raise error(f"num_classes must be an integer in [{MIN_CLASSES}, {MAX_CLASSES}], got {k!r}")
+    return k
+
+
 @dataclass(frozen=True)
 class VitConfig:
     image_h: int = 16
@@ -34,6 +46,7 @@ class VitConfig:
     num_classes: int = 5
 
     def validate(self):
+        check_num_classes(self.num_classes, ConfigError)
         for field in fields(self):
             value = getattr(self, field.name)
             if value <= 0:

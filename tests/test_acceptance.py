@@ -197,8 +197,9 @@ def test_08_metric_oracles(report):
         w = (idx[:, None] - idx[None, :]) ** 2
         if (w * np.outer(o.sum(1), o.sum(0))).sum() == 0:
             continue
-        ok = ok and abs(quadratic_weighted_kappa(o) - kappa_oracle(o)) < 1e-10
-        ok = ok and abs(training.accuracy(o) - np.trace(o) / o.sum()) < 1e-10
+        t, p = np.repeat(np.divmod(np.arange(k * k), k), o.ravel().astype(int), axis=1)
+        ok = ok and abs(quadratic_weighted_kappa(t, p) - kappa_oracle(o)) < 1e-10
+        ok = ok and abs(training.accuracy(t, p) - np.trace(o) / o.sum()) < 1e-10
         checked += 1
 
     for _ in range(100):
@@ -212,7 +213,8 @@ def test_08_metric_oracles(report):
         else:
             ok = ok and (dice, iou) == (1.0, 1.0)
 
-    ok = ok and quadratic_weighted_kappa(np.diag([2, 3, 4])) == 1.0
+    t = np.repeat(np.arange(3), [2, 3, 4])
+    ok = ok and quadratic_weighted_kappa(t, t) == 1.0
     m = np.ones(8, dtype=bool)
     ok = ok and dice_iou(m, m) == (1.0, 1.0)
     ok = ok and dice_iou(m, ~m) == (0.0, 0.0)

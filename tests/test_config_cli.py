@@ -243,6 +243,26 @@ class TestCliExitCodes:
             assert err == "config error: blob images need sides of at least 4, got 2x2\n"
             assert not (tmp_path / "o.ckpt").exists()
 
+    @pytest.mark.parametrize("num_classes", [1, 2 ** 16 + 1])
+    @pytest.mark.parametrize("command, args", [
+        ("pretrain", "--out {tmp}/o.ckpt"),
+        ("finetune", "--out {tmp}/o.ckpt --backbone {tmp}/b.ckpt"),
+        ("grad-check", ""),
+        ("synth-data", "--out {tmp}/o.dvds"),
+        ("eval", "--backbone {tmp}/b.ckpt --task-ckpt {tmp}/t.ckpt"),
+        ("count-params", ""),
+    ], ids=["pretrain", "finetune", "grad-check", "synth-data", "eval", "count-params"])
+    def test_a_class_count_out_of_range_exits_two_at_config_load(self, tmp_path, capsys,
+                                                                 command, args, num_classes):
+        cfg = write_config(tmp_path, mutate=lambda t: t.replace(
+            "num_classes = 5", f"num_classes = {num_classes}"))
+        code = cli.main([command, "--config", cfg, *args.format(tmp=tmp_path).split()])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and not captured.out
+        assert captured.err == ("config error: num_classes must be an integer in [2, 65536], "
+                                f"got {num_classes}\n")
+        assert os.listdir(tmp_path) == ["run.ini"]
+
     def test_synth_data_whose_pixels_overflow_float32_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mutate=lambda t: t.replace(
             "difficulty = 0.3", "difficulty = 1e308"))

@@ -141,9 +141,11 @@ _UNSAVABLE = {  # name -> (images shape, labels, task, num_classes, message)
     "3-D images": ((2, 2, 2), np.zeros(2, int), "classification", 5,
                    r"^images must be \(count, H, W, C\)"),
     "num_classes 2**33": ((2, 2, 2, 1), np.zeros(2, int), "classification", 2 ** 33,
-                          r"^num_classes must be an integer in \[1, 65536\]"),
+                          r"^num_classes must be an integer in \[2, 65536\]"),
     "num_classes above 2**16": ((2, 2, 2, 1), np.array([65536, 0]), "classification",
-                                2 ** 16 + 1, r"^num_classes must be an integer in \[1, 65536\]"),
+                                2 ** 16 + 1, r"^num_classes must be an integer in \[2, 65536\]"),
+    "num_classes 1": ((2, 2, 2, 1), np.zeros(2, int), "classification", 1,
+                      r"^num_classes must be an integer in \[2, 65536\], got 1$"),
 }
 
 
@@ -154,6 +156,28 @@ def test_save_rejects_what_the_format_cannot_hold_before_any_file_exists(tmp_pat
     with pytest.raises(DatasetError, match=message):
         save_dataset(tmp_path / "x.dvds", ds)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(family="b", w=0), r"^count, sides and channels must be positive, got 3 of 16x0x1$"),
+    (dict(num_classes=0), r"^num_classes must be an integer in \[2, 65536\], got 0$"),
+    (dict(family="b", h=-4), r"^count, sides and channels must be positive, got 3 of -4x16x1$"),
+], ids=["grating of width 0", "no classes", "negative height"])
+def test_bad_generation_parameters_raise_a_dataset_error(kwargs, message):
+    with pytest.raises(DatasetError, match=message):
+        synth_generate("classification", 3, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("num_classes", [0, 1, 2 ** 16 + 1])
+def test_a_file_whose_class_count_is_out_of_range_is_corrupt(tmp_path, num_classes):
+    path = tmp_path / "k.dvds"
+    save_dataset(path, synth_generate("classification", 2, seed=0))
+    blob = bytearray(path.read_bytes())
+    blob[25:29] = num_classes.to_bytes(4, "little")  # the header's u32 num_classes
+    path.write_bytes(bytes(blob))
+    with pytest.raises(D.CorruptDatasetError,
+                       match=rf"num_classes must be an integer in \[2, 65536\], got {num_classes}$"):
+        load_dataset(path)
 
 
 _BLOB_KINDS = [("classification", "a"), ("segmentation", "a"), ("segmentation", "b")]
@@ -227,7 +251,7 @@ def test_a_dataset_reads_back_unchanged_or_is_not_saved(tmp_path, data):
             "at least 2**16": st.integers(2 ** 16, 2 ** 16 + 2 ** 17),
         }[kind])
     in_range = labels.size == 0 or 0 <= labels.min() <= labels.max() < num_classes
-    savable = num_classes <= 2 ** 16 and labels.dtype == np.int64 and in_range
+    savable = 2 <= num_classes <= 2 ** 16 and labels.dtype == np.int64 and in_range
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         path = os.path.join(tmp, "d.dvds")
         with open(path, "wb") as fh:

@@ -350,7 +350,8 @@ def test_end_to_end_gradient_check_all_policies(desk_cfg, desk_dvpt):
     rng = np.random.default_rng(23)
     images = rng.normal(size=(2, 16, 16, 1))
     labels = np.array([1, 4])
-    for mode in ("full_finetune", "linear_probe", "vpt_only", "dvpt"):
+    # a fixed sampling seed per mode: a str hash is salted per process
+    for seed, mode in enumerate(("full_finetune", "linear_probe", "vpt_only", "dvpt")):
         model, _ = model_for_policy(desk_cfg, desk_dvpt, mode, seed=10, dtype=np.float64)
-        result = grad_check(model, images, labels, samples=12, tol=1e-4, seed=mode.__hash__() % 97)
+        result = grad_check(model, images, labels, samples=12, tol=1e-4, seed=seed)
         assert result["passed"], (mode, result["max_rel_err"])

@@ -25,7 +25,7 @@ from dvpt.data import load_dataset, save_dataset, synth_generate
 from dvpt.model import Model, model_for_policy
 from dvpt.tensor import Tape, Tensor, backward
 from dvpt.training import (AdamState, ContractError, MetricsReport, adam_step,
-                           accuracy, confusion_matrix, cross_entropy, dice_iou,
+                           accuracy, cross_entropy, dice_iou,
                            grad_check, hybrid_dice_ce, quadratic_weighted_kappa,
                            train_loop)
 from dvpt.vit import ConfigError
@@ -47,6 +47,12 @@ def kappa_oracle(confusion):
             num += w * confusion[i, j]
             den += w * confusion[i].sum() * confusion[:, j].sum() / total
     return 1.0 - num / den
+
+
+def label_pairs(confusion):
+    """The (y_true, y_pred) label arrays whose confusion matrix is ``confusion``."""
+    k = len(confusion)
+    return np.repeat(np.divmod(np.arange(k * k), k), np.ravel(confusion).astype(int), axis=1)
 
 
 class TestCrossEntropy:
@@ -186,28 +192,29 @@ class TestAdam:
 
 class TestKappa:
     def test_perfect_agreement(self):
-        assert quadratic_weighted_kappa(np.diag([3, 1, 7])) == 1.0
+        assert quadratic_weighted_kappa(*label_pairs(np.diag([3, 1, 7]))) == 1.0
 
     def test_maximal_disagreement_two_classes(self):
-        assert quadratic_weighted_kappa(np.array([[0, 5], [5, 0]])) == pytest.approx(-1.0)
+        assert quadratic_weighted_kappa(*label_pairs([[0, 5], [5, 0]])) == -1.0
 
     def test_three_class_case_vs_oracle(self):
         o = np.array([[2, 1, 0], [0, 3, 0], [0, 1, 3]])
-        assert quadratic_weighted_kappa(o) == pytest.approx(kappa_oracle(o), abs=1e-12)
-        assert quadratic_weighted_kappa(o) == pytest.approx(0.8305084745762712)
+        assert quadratic_weighted_kappa(*label_pairs(o)) == pytest.approx(kappa_oracle(o),
+                                                                          abs=1e-12)
+        assert quadratic_weighted_kappa(*label_pairs(o)) == pytest.approx(0.8305084745762712)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         o = rng.integers(0, 10, size=(4, 4))
         o[0, 0] += 1  # ensure off-diagonal expectation nonzero
-        assert quadratic_weighted_kappa(o) == pytest.approx(
-            quadratic_weighted_kappa(7 * o), abs=1e-12)
+        assert quadratic_weighted_kappa(*label_pairs(o)) == pytest.approx(
+            quadratic_weighted_kappa(*label_pairs(7 * o)), abs=1e-12)
 
     def test_contract_errors(self):
-        with pytest.raises(ContractError):
-            quadratic_weighted_kappa(np.zeros((3, 3)))
-        with pytest.raises(ContractError):
-            quadratic_weighted_kappa(np.array([[5.0]]))
+        with pytest.raises(ContractError, match=r"^empty label arrays$"):
+            quadratic_weighted_kappa(np.zeros(0, int), np.zeros(0, int))
+        with pytest.raises(ContractError, match=r"^labels shaped \(2,\) do not fit"):
+            quadratic_weighted_kappa(np.zeros(3, int), np.zeros(2, int))
 
     def test_random_matrices_vs_oracle(self):
         rng = np.random.default_rng(6)
@@ -216,7 +223,43 @@ class TestKappa:
             o = rng.integers(0, 8, size=(k, k)).astype(float)
             if o.sum() == 0 or kappa_denominator_zero(o):
                 continue
-            assert quadratic_weighted_kappa(o) == pytest.approx(kappa_oracle(o), abs=1e-10)
+            assert quadratic_weighted_kappa(*label_pairs(o)) == pytest.approx(kappa_oracle(o),
+                                                                              abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(2, 6), data=st.data())
+    def test_matches_the_oracle_on_the_confusion_matrix_of_the_same_labels(self, k, data):
+        labels = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                                    min_size=1, max_size=40))
+        y_true, y_pred = np.array(labels).T
+        o = np.zeros((k, k), int)
+        np.add.at(o, (y_true, y_pred), 1)
+        expected = 1.0 if kappa_denominator_zero(o) else kappa_oracle(o)
+        assert quadratic_weighted_kappa(y_true, y_pred) == pytest.approx(expected, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=1,
+                           max_size=40),
+           shift=st.integers(0, (1 << 16) - 100), seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_shared_shift_or_permutation_of_the_labels_changes_nothing(self, labels,
+                                                                         shift, seed):
+        y_true, y_pred = np.array(labels).T
+        kappa = quadratic_weighted_kappa(y_true, y_pred)
+        assert quadratic_weighted_kappa(y_true + shift, y_pred + shift) == kappa
+        order = np.random.default_rng(seed).permutation(len(labels))
+        assert quadratic_weighted_kappa(y_true[order], y_pred[order]) == kappa
+
+    def test_memory_does_not_grow_with_the_label_range(self):
+        y_true, y_pred = np.random.default_rng(12).integers(0, 1 << 16, size=(2, 64))
+        y_true[:2] = 0, (1 << 16) - 1  # labels span [0, 2**16)
+        tracemalloc.start()
+        try:
+            accuracy(y_true, y_pred)
+            quadratic_weighted_kappa(y_true, y_pred)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
 
 def kappa_denominator_zero(o):
@@ -264,13 +307,12 @@ class TestAccuracy:
         rng = np.random.default_rng(8)
         o = rng.integers(0, 9, size=(5, 5))
         o[0, 0] += 1
-        assert accuracy(o) == np.trace(o) / o.sum()
+        assert accuracy(*label_pairs(o)) == np.trace(o) / o.sum()
 
-    def test_confusion_row_sums(self):
+    def test_the_share_of_matching_labels(self):
         y_true = np.array([0, 0, 1, 2, 2, 2])
         y_pred = np.array([0, 1, 1, 2, 0, 2])
-        o = confusion_matrix(y_true, y_pred, 3)
-        np.testing.assert_array_equal(o.sum(axis=1), [2, 1, 3])
+        assert accuracy(y_true, y_pred) == 4 / 6
 
 
 class TestGradCheck:
@@ -448,9 +490,9 @@ class TestTrainLoop:
             logits = training.predict(model, images)
             report = training.evaluate(model, images, labels)
         assert np.isfinite(logits).all()
-        confusion = training.confusion_matrix(labels, logits.argmax(axis=-1), 5)
-        assert report.accuracy == training.accuracy(confusion)
-        assert report.kappa == training.quadratic_weighted_kappa(confusion)
+        preds = logits.argmax(axis=-1)
+        assert report.accuracy == training.accuracy(labels, preds)
+        assert report.kappa == training.quadratic_weighted_kappa(labels, preds)
 
     @pytest.mark.parametrize("task", ["classification", "segmentation"])
     @pytest.mark.parametrize("bad_label", [-1, 5, 7])

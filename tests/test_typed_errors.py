@@ -99,12 +99,12 @@ _CASES = {  # name -> (call taking a scratch directory, error type, message rege
         lambda tmp: save_dataset(tmp / "x.dvds", Dataset(
             np.zeros((0, 2**32, 1, 1), np.float32), np.zeros(0, np.uint16), "classification", 2)),
         DatasetError, r"^images axis H of length 4294967296, over the limit of 4294967295$"),
-    "accuracy of an empty confusion matrix": (
-        lambda tmp: accuracy(np.zeros((3, 3), np.int64)),
-        ContractError, r"^empty confusion matrix$"),
-    "kappa of a negative confusion matrix": (
-        lambda tmp: quadratic_weighted_kappa(np.array([[1, -1], [0, 2]])),
-        ContractError, r"^confusion matrix has negative entries$"),
+    "accuracy of empty label arrays": (
+        lambda tmp: accuracy(np.zeros(0, np.int64), np.zeros(0, np.int64)),
+        ContractError, r"^empty label arrays$"),
+    "kappa of a negative label": (
+        lambda tmp: quadratic_weighted_kappa(np.array([1, -1, 0]), np.array([0, 1, 1])),
+        ContractError, r"^labels outside \[0, 65536\): range -1\.\.1$"),
     "CLI dataset file of another task": (
         _load_dataset_of_another_task,
         ConfigError, r"^dataset task 'segmentation' does not match \[run\] task 'classification'$"),

@@ -33,6 +33,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="heads"):
             VitConfig(embed_dim=30, heads=4).validate()
 
+    @pytest.mark.parametrize("num_classes", [0, 1, 2 ** 16 + 1, 2.0, True])
+    def test_the_class_count_has_one_range(self, num_classes):
+        with pytest.raises(ConfigError, match=r"^num_classes must be an integer in \[2, 65536\]"):
+            VitConfig(num_classes=num_classes).validate()
+
+    @pytest.mark.parametrize("num_classes", [vit.MIN_CLASSES, vit.MAX_CLASSES])
+    def test_the_class_count_range_is_inclusive(self, num_classes):
+        assert VitConfig(num_classes=num_classes).validate().num_classes == num_classes
+
     def test_patch_count(self, desk_cfg):
         assert desk_cfg.num_patches == 16
 
