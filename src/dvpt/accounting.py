@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import model as model_mod
 from .peft import ADAPTERS, FreezePolicy
-from .vit import ConfigError
+from .vit import ConfigError, check_integers
 
 # Reported totals for the ViT-B/16 configuration (m=50, d'=20, d=768,
 # L=12), kept as reference constants for side-by-side comparison.
@@ -35,10 +35,8 @@ def reference_total(cfg, dvpt_cfg):
 
 def closed_form(m, d_prime, d, depth, share_every):
     """Closed-form trainable-parameter count for the adapter scheme."""
-    for label, v in (("m", m), ("d_prime", d_prime), ("d", d), ("depth", depth),
-                     ("share_every", share_every)):
-        if v <= 0:
-            raise ConfigError(f"{label} must be positive, got {v}")
+    check_integers(dict(m=m, d_prime=d_prime, d=d, depth=depth, share_every=share_every),
+                   ConfigError, low=1)
     if share_every > depth:
         raise ConfigError(f"share_every {share_every} exceeds depth {depth}")
     blocks = -(-depth // share_every)

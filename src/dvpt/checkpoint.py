@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from . import binfile
-from . import model as model_mod
+from .peft import is_backbone_param
 
 MAGIC = b"DVPT"
 VERSION = 1
@@ -107,7 +107,7 @@ def load_backbone(model, tensors):
     (they are task-specific).  Changes no process state: the forward
     loops pin the heap (``training.predict``).
     """
-    names = list(filter(model_mod.is_backbone_param, model.params))
+    names = list(filter(is_backbone_param, model.params))
     for name in names:
         if name not in tensors:
             raise ArchitectureMismatchError(f"backbone tensor {name!r} missing from checkpoint")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binfile
-from .vit import ConfigError, check_num_classes
+from .vit import ConfigError, check_integers, check_num_classes
 
 MAGIC = b"DVDS"
 VERSION = 1
@@ -66,8 +66,7 @@ class DataConfig:
             raise ConfigError("[data] source = file requires a path")
         if self.source == "synthetic" and self.family not in ("a", "b"):
             raise ConfigError(f"[data] family must be 'a' or 'b', got {self.family!r}")
-        if self.seed < 0:
-            raise ConfigError(f"[data] seed must be >= 0, got {self.seed}")
+        check_integers({"[data] seed": self.seed}, ConfigError, low=0)
         return self
 
 
@@ -98,9 +97,11 @@ def synth_generate(task, count, seed, difficulty=0.3, family="a",
     """Generate a synthetic dataset, bitwise-reproducible from the seed.
     Raises DatasetError on bad parameters: blobs need sides of at least 4,
     and a pixel float32 cannot hold is an error, not a warning."""
+    check_integers(dict(count=count, h=h, w=w, channels=channels, seed=seed), DatasetError)
     if min(count, h, w, channels) <= 0:
         raise DatasetError(f"count, sides and channels must be positive, "
                            f"got {count} of {h}x{w}x{channels}")
+    check_integers({"seed": seed}, DatasetError, low=0)
     check_num_classes(num_classes, DatasetError)
     if family not in ("a", "b"):
         raise DatasetError(f"family must be 'a' or 'b', got {family!r}")
@@ -138,10 +139,18 @@ def label_shape(task, image_shape):
     return image_shape[:1] if task == "classification" else image_shape[:3]
 
 
+def as_array(values, what, error):
+    """``values`` as an array; raises ``error(message)`` on ragged nested lists."""
+    try:
+        return np.asarray(values)
+    except ValueError as exc:
+        raise error(f"{what} do not form one array: {exc}") from None
+
+
 def check_labels(labels, shape, num_classes, error):
     """``labels`` as an array; raises ``error(message)`` unless they are integers
     shaped ``shape``, each in [0, num_classes).  An empty array passes."""
-    labels = np.asarray(labels)
+    labels = as_array(labels, "labels", error)
     if labels.shape != shape:
         raise error(f"labels shaped {labels.shape} do not fit the label shape {shape}")
     if not np.issubdtype(labels.dtype, np.integer):

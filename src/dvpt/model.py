@@ -21,19 +21,11 @@ import math
 import numpy as np
 
 from . import peft, tensor as T, vit
-from .peft import FreezePolicy
+from .peft import FreezePolicy, is_backbone_param  # noqa: F401 (part of this module's API)
 from .tensor import Tensor
-from .vit import ConfigError
+from .vit import ConfigError, check_integers
 
 TASKS = ("classification", "segmentation")
-
-BACKBONE_PREFIXES = ("patch_embed.", "cls_token", "pos_embed", "block")
-
-
-def is_backbone_param(name):
-    """Backbone = shared pre-trained weights; excludes head, prompts, adapters."""
-    return name.startswith(BACKBONE_PREFIXES)
-
 
 def param_shapes(cfg, dvpt_cfg=None, prompts_only=False):
     """Ordered name -> shape table for a model configuration.
@@ -151,7 +143,8 @@ def init_params(shapes, gate_init=0.0, seed=0, dtype=np.float32):
     zeros for biases, LN gamma 1 / beta 0, gates at gate_init.
     Deterministic in (seed, name order).  The weights are drawn at the
     first read of any of them (see ``_PendingDraws``), so weights that
-    are assigned before then are never drawn."""
+    are assigned before then are never drawn.  ConfigError unless seed is an integer >= 0."""
+    check_integers({"seed": seed}, ConfigError, low=0)
     draws = _PendingDraws(seed, dtype)
     params = {}
     for name, shape in shapes.items():
@@ -224,8 +217,9 @@ class Model:
 def model_for_policy(cfg, dvpt_cfg, mode, task="classification",
                      seed=0, dtype=np.float32):
     """Build the model variant a freeze policy implies (its row of
-    ``peft.POLICIES``) and apply the policy."""
+    ``peft.POLICIES``), with ``requires_grad`` set on the tensors it trains."""
     policy = FreezePolicy(mode)
     model = Model(cfg, *policy.model_args(dvpt_cfg), task=task, seed=seed, dtype=dtype)
-    peft.apply_freeze_policy(model, policy)
+    for name, tensor in model.params.items():
+        tensor.requires_grad = policy.is_trainable(name)
     return model, policy

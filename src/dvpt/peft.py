@@ -17,18 +17,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .vit import ConfigError, TokenSequence
+from .vit import ConfigError, TokenSequence, check_integers
 
 # Model variants a freeze policy can need.
 PLAIN, PROMPTS, ADAPTERS = "plain backbone", "prompts only", "prompts plus adapters"
 
-# The freeze policies: mode -> (model variant, name prefixes it trains;
-# "" trains everything).  A new policy is one row here.
+BACKBONE_PREFIXES = ("patch_embed.", "cls_token", "pos_embed", "block")
+
+
+def is_backbone_param(name):
+    """Backbone = shared pre-trained weights; excludes head, prompts, adapters."""
+    return name.startswith(BACKBONE_PREFIXES)
+
+
+# The freeze policies: mode -> (model variant, whether the backbone trains).
+# Each trains all its variant adds to the backbone.  A new policy is one row.
 POLICIES = {
-    "full_finetune": (PLAIN, ("",)),
-    "linear_probe": (PLAIN, ("head.",)),
-    "vpt_only": (PROMPTS, ("head.", "prompts")),
-    "dvpt": (ADAPTERS, ("head.", "prompts", "adapter")),
+    "full_finetune": (PLAIN, True),
+    "linear_probe": (PLAIN, False),
+    "vpt_only": (PROMPTS, False),
+    "dvpt": (ADAPTERS, False),
 }
 
 
@@ -40,6 +48,8 @@ class DvptConfig:
     gate_init: float = 0.0
 
     def validate(self, vit_cfg):
+        check_integers(dict(num_prompts=self.num_prompts, hidden_dim=self.hidden_dim,
+                            share_every=self.share_every), ConfigError)
         if self.num_prompts <= 0:
             raise ConfigError(f"num_prompts must be positive, got {self.num_prompts}")
         if self.hidden_dim <= 0:
@@ -133,12 +143,8 @@ class FreezePolicy:
     def variant(self):
         return POLICIES[self.mode][0]
 
-    @property
-    def trains(self):
-        return POLICIES[self.mode][1]
-
     def is_trainable(self, name):
-        return name.startswith(self.trains)
+        return POLICIES[self.mode][1] or not is_backbone_param(name)
 
     def model_args(self, dvpt_cfg):
         """``(dvpt_cfg, prompts_only)`` that build this policy's model variant."""
@@ -148,21 +154,3 @@ class FreezePolicy:
             raise ConfigError(f"policy {self.mode!r} needs a dvpt config (a [dvpt] section)")
         return dvpt_cfg, self.variant == PROMPTS
 
-
-def apply_freeze_policy(model, policy):
-    """Set requires_grad on every model parameter per the policy.
-
-    Frozen tensors drop any gradient buffer so the optimizer can never
-    touch them.
-    """
-    for prefix in policy.trains:
-        if not any(name.startswith(prefix) for name in model.params):
-            raise ConfigError(
-                f"policy {policy.mode!r} trains {prefix!r} parameters, "
-                "which this model does not have"
-            )
-    for name, tensor in model.params.items():
-        trainable = policy.is_trainable(name)
-        tensor.requires_grad = trainable
-        if not trainable:
-            tensor.grad = None

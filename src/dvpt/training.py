@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import check_labels, label_shape
+from .data import as_array, check_labels, label_shape
 from .tensor import Tape, Tensor, backward
-from .vit import MAX_CLASSES, ConfigError
+from .vit import MAX_CLASSES, ConfigError, check_integers
 
 
 class ContractError(ValueError):
@@ -97,10 +97,9 @@ class OptimizerConfig:
     def validate(self):
         if not 0 <= self.lr < math.inf:
             raise ConfigError(f"[optimizer] lr must be finite and >= 0, got {self.lr}")
-        if self.epochs < 0 or self.batch_size <= 0:
-            raise ConfigError("[optimizer] epochs must be >= 0 and batch_size > 0")
-        if self.seed < 0:
-            raise ConfigError(f"[optimizer] seed must be >= 0, got {self.seed}")
+        check_integers({"[optimizer] epochs": self.epochs, "[optimizer] seed": self.seed},
+                       ConfigError, low=0)
+        check_integers({"[optimizer] batch_size": self.batch_size}, ConfigError, low=1)
         return self
 
 
@@ -221,7 +220,7 @@ class MetricsReport:
 def _check_images(cfg, images):
     """The image half of the batch contract, from shapes alone: a non-empty
     (n, H, W, C) stack of ``cfg``'s geometry.  Returns its shape."""
-    shape = np.shape(images)
+    shape = as_array(images, "images", ContractError).shape
     if shape[:1] == (0,):
         raise ContractError("empty dataset")
     geometry = (cfg.image_h, cfg.image_w, cfg.channels)
@@ -303,8 +302,7 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
     ``_OVERFLOW_CHECKED`` and raise ContractError, naming the tensor, on a
     non-finite gradient or perturbed loss, so no NaN reads as a pass.
     """
-    if samples < 1:
-        raise ContractError(f"grad_check samples must be >= 1, got {samples}")
+    check_integers({"grad_check samples": samples}, ContractError, low=1)
     if not 0 < tol < math.inf:
         raise ContractError(f"grad_check tol must be positive and finite, got {tol}")
     if model.dtype != np.float64:
@@ -390,8 +388,8 @@ def train_loop(model, images, labels, policy, epochs, lr=1e-2, batch_size=8,
     digest of its bytes taken first, that no frozen tensor changed in any
     bit.  Pins the process's heap with ``_pin_heap``."""
     OptimizerConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed).validate()
-    images, labels = np.asarray(images), np.asarray(labels)  # batches index both
     _check_batch(model.cfg, model.task, images, labels)
+    images, labels = np.asarray(images), np.asarray(labels)  # batches index both
     frozen_digests = {
         name: _digest(t.data) for name, t in model.params.items() if not t.requires_grad
     }

@@ -10,7 +10,7 @@ which must tell prompt, class and patch rows apart, deal in a
 ``TokenSequence``.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,8 @@ class ConfigError(ValueError):
     """Raised when a configuration violates its structural constraints."""
 
 
+INTEGER_TYPES = (int, np.integer)  # an integer argument is Python's or numpy's
+
 # The one range of a class count K, inclusive: kappa needs two classes, and a
 # DVDS dataset file stores each label in [0, K) as a u16.
 MIN_CLASSES, MAX_CLASSES = 2, 1 << 16
@@ -29,9 +31,19 @@ MIN_CLASSES, MAX_CLASSES = 2, 1 << 16
 
 def check_num_classes(k, error):
     """``k``; raises ``error(message)`` unless it is an integer in [MIN_CLASSES, MAX_CLASSES]."""
-    if not (isinstance(k, (int, np.integer)) and MIN_CLASSES <= k <= MAX_CLASSES):
+    if not (isinstance(k, INTEGER_TYPES) and MIN_CLASSES <= k <= MAX_CLASSES):
         raise error(f"num_classes must be an integer in [{MIN_CLASSES}, {MAX_CLASSES}], got {k!r}")
     return k
+
+
+def check_integers(values, error, low=None):
+    """Raises ``error(message)`` naming the first of the name -> value dict
+    ``values`` whose value is not an integer, or is below ``low``."""
+    for name, value in values.items():
+        if not isinstance(value, INTEGER_TYPES):
+            raise error(f"{name} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise error(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +59,10 @@ class VitConfig:
 
     def validate(self):
         check_num_classes(self.num_classes, ConfigError)
-        for field in fields(self):
-            value = getattr(self, field.name)
+        check_integers(vars(self), ConfigError)  # every field is an integer
+        for name, value in vars(self).items():
             if value <= 0:
-                raise ConfigError(f"{field.name} must be positive, got {value}")
+                raise ConfigError(f"{name} must be positive, got {value}")
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
             raise ConfigError(
                 f"image {self.image_h}x{self.image_w} not divisible by patch_size {self.patch_size}"

@@ -11,7 +11,8 @@ SWEEP = Path(__file__).resolve().parent.parent / "tools" / "bitwise_sweep.py"
 
 
 def _python(*args):
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", *args], capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

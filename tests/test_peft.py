@@ -1,15 +1,21 @@
 import dataclasses
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvpt import peft
 from dvpt import tensor as T
-from dvpt.model import Model, init_params, model_for_policy, param_shapes
+from dvpt.accounting import report_from_config
+from dvpt.checkpoint import load_checkpoint, save_trainable
+from dvpt.model import TASKS, Model, init_params, model_for_policy, param_shapes
 from dvpt.peft import DvptConfig, FreezePolicy
 from dvpt.tensor import Tape, Tensor, backward
 from dvpt.training import AdamState, adam_step, batch_loss
-from dvpt.vit import ConfigError, TokenSequence
+from dvpt.vit import ConfigError, TokenSequence, VitConfig
 
 
 def make_seq(rng, b, m, n, d, dtype=np.float64):
@@ -322,11 +328,6 @@ class TestFreezePolicy:
         model, _ = model_for_policy(desk_cfg, desk_dvpt, "vpt_only")
         assert {n for n, _ in model.trainable()} == {"prompts", "head.weight", "head.bias"}
 
-    def test_policy_requires_matching_model(self, desk_cfg, desk_dvpt):
-        model = Model(desk_cfg)  # plain backbone, no prompts
-        with pytest.raises(ConfigError, match="prompts"):
-            peft.apply_freeze_policy(model, FreezePolicy("dvpt"))
-
     def test_frozen_tensors_immutable_under_training(self, desk_cfg, desk_dvpt):
         model, policy = model_for_policy(desk_cfg, desk_dvpt, "dvpt", seed=9)
         snapshot = {n: t.data.copy() for n, t in model.params.items()
@@ -343,6 +344,36 @@ class TestFreezePolicy:
             adam_step(model.trainable(), state)
         for name, snap in snapshot.items():
             assert np.array_equal(model.params[name].data, snap), name
+
+
+# Each policy's trainable name prefixes as the policy table listed them
+# before the trainable set was derived from the backbone rule.
+_TRAINED_PREFIXES = {
+    "full_finetune": ("",),
+    "linear_probe": ("head.",),
+    "vpt_only": ("head.", "prompts"),
+    "dvpt": ("head.", "prompts", "adapter"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(depth=st.integers(1, 5), data=st.data(), task=st.sampled_from(TASKS),
+       mode=st.sampled_from(list(peft.POLICIES)))
+def test_the_trainable_set_is_the_one_the_prefix_table_selected(depth, data, task, mode):
+    cfg = VitConfig(depth=depth)
+    dvpt_cfg = DvptConfig(num_prompts=data.draw(st.integers(1, 8)),
+                          hidden_dim=data.draw(st.integers(1, 31)),
+                          share_every=data.draw(st.integers(1, depth)))
+    model, _ = model_for_policy(cfg, dvpt_cfg, mode, task=task)
+    trainable = [name for name, _ in model.trainable()]
+    assert trainable == [name for name in model.params
+                         if name.startswith(_TRAINED_PREFIXES[mode])]
+    report = report_from_config(cfg, dvpt_cfg, mode)
+    assert sorted(trainable) == [row.name for row in report.rows if row.trainable]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "task.ckpt")
+        save_trainable(path, model)
+        assert list(load_checkpoint(path)) == sorted(trainable)
 
 
 def test_end_to_end_gradient_check_all_policies(desk_cfg, desk_dvpt):

@@ -11,10 +11,11 @@ from dvpt import tensor as T
 from dvpt.checkpoint import save_checkpoint
 from dvpt.config import load_config
 from dvpt.data import DataConfig, Dataset, DatasetError, save_dataset, synth_generate
-from dvpt.model import Model
+from dvpt.model import Model, model_for_policy
 from dvpt.peft import DvptConfig
 from dvpt.tensor import ShapeError, Tensor
-from dvpt.training import ContractError, accuracy, quadratic_weighted_kappa
+from dvpt.training import (ContractError, accuracy, batch_loss, evaluate, grad_check, predict,
+                           quadratic_weighted_kappa, train_loop)
 from dvpt.vit import ConfigError, TokenSequence, VitConfig, classification_head
 
 from test_config_cli import write_config
@@ -34,6 +35,16 @@ def _load_dataset_of_another_task(tmp_path):
     return cli._load_data(_config(tmp_path, lambda t: t.replace(
         "source = synthetic", f"source = file\npath = {path}")))
 
+
+def _on_desk_model(call, dtype=np.float32):
+    """``call(model, policy, dataset)`` on a default-config dvpt model and
+    four synthetic images."""
+    model, policy = model_for_policy(VitConfig(), DvptConfig(), "dvpt", dtype=dtype)
+    return call(model, policy, synth_generate("classification", 4, seed=0))
+
+
+_RAGGED = [np.zeros((16, 16, 1)), np.zeros((16, 15, 1))]  # images of two shapes
+_NOT_ONE_ARRAY = "do not form one array: "  # then numpy's own message
 
 _NO_CLS = TokenSequence(Tensor(np.zeros((1, 4, 8))), num_prompts=0, has_cls=False,
                         num_patches=4)
@@ -105,6 +116,58 @@ _CASES = {  # name -> (call taking a scratch directory, error type, message rege
     "kappa of a negative label": (
         lambda tmp: quadratic_weighted_kappa(np.array([1, -1, 0]), np.array([0, 1, 1])),
         ContractError, r"^labels outside \[0, 65536\): range -1\.\.1$"),
+    "model_for_policy with seed -1": (
+        lambda tmp: model_for_policy(VitConfig(), DvptConfig(), "dvpt", seed=-1),
+        ConfigError, r"^seed must be >= 0, got -1$"),
+    "model_for_policy with seed 1.5": (
+        lambda tmp: model_for_policy(VitConfig(), DvptConfig(), "dvpt", seed=1.5),
+        ConfigError, r"^seed must be an integer, got 1\.5$"),
+    "synth_generate with seed -1": (
+        lambda tmp: synth_generate("classification", 4, seed=-1),
+        DatasetError, r"^seed must be >= 0, got -1$"),
+    "synth_generate with count 2.0": (
+        lambda tmp: synth_generate("classification", 2.0, seed=1),
+        DatasetError, r"^count must be an integer, got 2\.0$"),
+    "synth_generate with h 16.0": (
+        lambda tmp: synth_generate("classification", 2, seed=1, h=16.0),
+        DatasetError, r"^h must be an integer, got 16\.0$"),
+    "Model with embed_dim 32.0": (
+        lambda tmp: Model(VitConfig(embed_dim=32.0)),
+        ConfigError, r"^embed_dim must be an integer, got 32\.0$"),
+    "DvptConfig share_every 1.0": (
+        lambda tmp: DvptConfig(share_every=1.0).validate(VitConfig()),
+        ConfigError, r"^share_every must be an integer, got 1\.0$"),
+    "train_loop with epochs 1.5": (
+        lambda tmp: _on_desk_model(lambda m, p, ds: train_loop(m, ds.images, ds.labels, p, 1.5)),
+        ConfigError, r"^\[optimizer\] epochs must be an integer, got 1\.5$"),
+    "train_loop with batch_size 2.5": (
+        lambda tmp: _on_desk_model(
+            lambda m, p, ds: train_loop(m, ds.images, ds.labels, p, 1, batch_size=2.5)),
+        ConfigError, r"^\[optimizer\] batch_size must be an integer, got 2\.5$"),
+    "train_loop with seed 1.5": (
+        lambda tmp: _on_desk_model(
+            lambda m, p, ds: train_loop(m, ds.images, ds.labels, p, 1, seed=1.5)),
+        ConfigError, r"^\[optimizer\] seed must be an integer, got 1\.5$"),
+    "predict on ragged images": (
+        lambda tmp: _on_desk_model(lambda m, p, ds: predict(m, _RAGGED)),
+        ContractError, rf"^images {_NOT_ONE_ARRAY}"),
+    "evaluate on ragged images": (
+        lambda tmp: _on_desk_model(lambda m, p, ds: evaluate(m, _RAGGED, [0, 1])),
+        ContractError, rf"^images {_NOT_ONE_ARRAY}"),
+    "batch_loss on ragged images": (
+        lambda tmp: _on_desk_model(lambda m, p, ds: batch_loss(m, _RAGGED, [0, 1])),
+        ContractError, rf"^images {_NOT_ONE_ARRAY}"),
+    "train_loop on ragged images": (
+        lambda tmp: _on_desk_model(lambda m, p, ds: train_loop(m, _RAGGED, [0, 1], p, 1)),
+        ContractError, rf"^images {_NOT_ONE_ARRAY}"),
+    "evaluate on ragged labels": (
+        lambda tmp: _on_desk_model(lambda m, p, ds: evaluate(m, ds.images[:2], [[0], [1, 2]])),
+        ContractError, rf"^labels {_NOT_ONE_ARRAY}"),
+    "grad_check with samples 2.5": (
+        lambda tmp: _on_desk_model(
+            lambda m, p, ds: grad_check(m, ds.images[:2], ds.labels[:2], samples=2.5),
+            dtype=np.float64),
+        ContractError, r"^grad_check samples must be an integer, got 2\.5$"),
     "CLI dataset file of another task": (
         _load_dataset_of_another_task,
         ConfigError, r"^dataset task 'segmentation' does not match \[run\] task 'classification'$"),
