@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binfile
-from .vit import ConfigError, check_integers, check_num_classes
+from .vit import ConfigError, check_integers, check_num_classes, check_reals
 
 MAGIC = b"DVDS"
 VERSION = 1
@@ -107,6 +107,7 @@ def synth_generate(task, count, seed, difficulty=0.3, family="a",
         raise DatasetError(f"family must be 'a' or 'b', got {family!r}")
     if task not in _TASK_TAGS:
         raise DatasetError(f"unknown task {task!r}")
+    check_reals({"difficulty": difficulty}, DatasetError)
     if not 0 <= difficulty < math.inf:
         raise DatasetError(f"difficulty must be finite and >= 0, got {difficulty}")
     if min(h, w) < 4 and (task == "segmentation" or family == "a"):  # blobs sit 2 from an edge

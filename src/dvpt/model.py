@@ -188,19 +188,30 @@ class Model:
         mid = MHSA(LN(x)) + x; the branch term is there only with adapters.
         ``use_adapter=False`` excises it while keeping the prompt-extended
         sequence, for branch-off comparisons.
+
+        The last block computes only the rows the task's head reads
+        (``TokenSequence.head_rows``): its attention residual runs on every
+        row, since the branch's ``cavpt`` reads them all, and the FFN
+        residual and the branch's add run on the head rows alone.  The
+        branch is cut after its gate, which keeps every gradient's sum
+        order, and so its bits, as when all rows run.
         """
         seq = vit.patch_embed(images, self.params, self.cfg)
         if self.dvpt_cfg is not None:
             seq = peft.append_prompts(seq, self.params["prompts"])
+        head_rows = seq.head_rows(self.task)
         for layer in range(self.cfg.depth):
             block = f"block{layer}"
+            rows = head_rows if layer == self.cfg.depth - 1 else None
             mid = vit.attention_residual(seq.tokens, self.params, block, self.cfg)
-            x = vit.ffn_residual(mid, self.params, block)
+            x = vit.ffn_residual(mid, self.params, block, rows)
             if self.has_adapter and use_adapter:
                 adapter = f"adapter{layer // self.dvpt_cfg.share_every}"
-                x = T.add(x, peft.adapter_branch(seq.with_tokens(mid), self.params, adapter))
+                # no name holds the branch: it is freed once added, not at the next layer
+                x = T.add(x, vit.cut(peft.adapter_branch(seq.with_tokens(mid), self.params,
+                                                         adapter), rows))
             # seq carries the layout on; rebinding it frees this layer's input tokens
-            seq = seq.with_tokens(x)
+            seq = seq.with_tokens(x) if rows is None else seq.rows(*rows, x)
         if self.task == "classification":
             return vit.classification_head(seq, self.params)
         return vit.segmentation_head(seq, self.params, self.cfg)

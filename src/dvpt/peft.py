@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .vit import ConfigError, TokenSequence, check_integers
+from .vit import ConfigError, TokenSequence, check_integers, check_reals
 
 # Model variants a freeze policy can need.
 PLAIN, PROMPTS, ADAPTERS = "plain backbone", "prompts only", "prompts plus adapters"
@@ -63,6 +63,7 @@ class DvptConfig:
             raise ConfigError(
                 f"share_every {self.share_every} outside [1, depth={vit_cfg.depth}]"
             )
+        check_reals({"gate_init": self.gate_init}, ConfigError)
         if not math.isfinite(self.gate_init):
             raise ConfigError(f"gate_init must be finite, got {self.gate_init}")
         return self

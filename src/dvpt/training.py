@@ -12,7 +12,7 @@ import numpy as np
 from . import tensor as T
 from .data import as_array, check_labels, label_shape
 from .tensor import Tape, Tensor, backward
-from .vit import MAX_CLASSES, ConfigError, check_integers
+from .vit import MAX_CLASSES, ConfigError, check_integers, check_reals
 
 
 class ContractError(ValueError):
@@ -95,6 +95,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def validate(self):
+        check_reals({"[optimizer] lr": self.lr}, ConfigError)
         if not 0 <= self.lr < math.inf:
             raise ConfigError(f"[optimizer] lr must be finite and >= 0, got {self.lr}")
         check_integers({"[optimizer] epochs": self.epochs, "[optimizer] seed": self.seed},
@@ -303,6 +304,7 @@ def grad_check(model, images, labels, samples=25, tol=1e-4, seed=0):
     non-finite gradient or perturbed loss, so no NaN reads as a pass.
     """
     check_integers({"grad_check samples": samples}, ContractError, low=1)
+    check_reals({"grad_check tol": tol}, ContractError)
     if not 0 < tol < math.inf:
         raise ContractError(f"grad_check tol must be positive and finite, got {tol}")
     if model.dtype != np.float64:

@@ -7,7 +7,9 @@ Parameters live in a flat name -> Tensor dict owned by the model (see
 The block layers act on every row alike, so they take and return the
 ``[batch, seq_len, dim]`` token Tensor; only ``patch_embed`` and the heads,
 which must tell prompt, class and patch rows apart, deal in a
-``TokenSequence``.
+``TokenSequence``.  Its ``head_rows`` is the one rule for which rows a
+task's head reads: ``Model.forward`` runs the last block's FFN residual on
+those rows alone, and the heads take them from any sequence.
 """
 
 from dataclasses import dataclass, replace
@@ -23,6 +25,7 @@ class ConfigError(ValueError):
 
 
 INTEGER_TYPES = (int, np.integer)  # an integer argument is Python's or numpy's
+REAL_TYPES = INTEGER_TYPES + (float, np.floating)  # and a real one may also be a float
 
 # The one range of a class count K, inclusive: kappa needs two classes, and a
 # DVDS dataset file stores each label in [0, K) as a u16.
@@ -44,6 +47,14 @@ def check_integers(values, error, low=None):
             raise error(f"{name} must be an integer, got {value!r}")
         if low is not None and value < low:
             raise error(f"{name} must be >= {low}, got {value}")
+
+
+def check_reals(values, error):
+    """Raises ``error(message)`` naming the first of the name -> value dict
+    ``values`` whose value is not a real number (an integer or a float)."""
+    for name, value in values.items():
+        if not isinstance(value, REAL_TYPES):
+            raise error(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +123,39 @@ class TokenSequence:
     def with_tokens(self, tokens):
         return replace(self, tokens=tokens)
 
+    def head_rows(self, task):
+        """``(start, stop)`` of the rows ``task``'s head reads, along the
+        sequence axis: the prompt rows and the class row for classification,
+        the patch rows for segmentation."""
+        if task == "classification":
+            if not self.has_cls:
+                raise ConfigError("classification head requires a class token")
+            return 0, self.num_prompts + 1
+        start = self.num_prompts + int(self.has_cls)
+        return start, start + self.num_patches
+
+    def rows(self, start, stop, tokens):
+        """The sequence of ``tokens``, which hold this sequence's rows
+        ``[start, stop)``, with the layout of those rows."""
+        first_patch = self.num_prompts + int(self.has_cls)
+        return TokenSequence(tokens,
+                             num_prompts=max(0, min(stop, self.num_prompts) - start),
+                             has_cls=self.has_cls and start <= self.num_prompts < stop,
+                             num_patches=max(0, stop - max(start, first_patch)))
+
+    def head_tokens(self, task):
+        """The token Tensor of the rows ``task``'s head reads: the tokens
+        themselves when they hold only those rows, as ``Model.forward``'s
+        last sequence does, else a slice."""
+        start, stop = self.head_rows(task)
+        return self.tokens if stop - start == self.seq_len else cut(self.tokens, (start, stop))
+
+
+def cut(tokens, rows):
+    """The ``[start, stop)`` rows of a token Tensor, or all of it when
+    ``rows`` is None."""
+    return tokens if rows is None else T.slice_axis(tokens, 1, *rows)
+
 
 def patch_embed(images, params, cfg):
     """Flatten p x p x C patches, project to embed_dim, prepend the class
@@ -160,10 +204,13 @@ def attention_residual(x, params, prefix, cfg):
     return T.add(mhsa(normed, params, prefix, cfg), x)
 
 
-def ffn_residual(x, params, prefix):
-    """FFN(LN(x)) + x, the second half of a pre-norm block."""
-    normed = T.layernorm(x, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
-    return T.add(ffn(normed, params, prefix), x)
+def ffn_residual(x, params, prefix, rows=None):
+    """FFN(LN(x)) + x, the second half of a pre-norm block, on x's rows
+    ``[start, stop)`` alone when ``rows`` is given.  Each of the two reads
+    of x is cut on its own, so x's gradient sums its two terms in the
+    order the all-rows block does and keeps its bits."""
+    normed = T.layernorm(cut(x, rows), params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
+    return T.add(ffn(normed, params, prefix), cut(x, rows))
 
 
 def classification_head(seq, params):
@@ -172,9 +219,7 @@ def classification_head(seq, params):
     The pooled vector is the mean of the m prompt tokens and the class
     token, which is the class token itself when there are no prompts.
     """
-    if not seq.has_cls:
-        raise ConfigError("classification head requires a class token")
-    pooled = T.tmean(T.slice_axis(seq.tokens, 1, 0, seq.num_prompts + 1), axis=1)
+    pooled = T.tmean(seq.head_tokens("classification"), axis=1)
     return T.linear(pooled, params["head.weight"], params["head.bias"])
 
 
@@ -183,8 +228,6 @@ def segmentation_head(seq, params, cfg):
 
     Prompt and class tokens are excluded; spatial order is patch raster order.
     """
-    start = seq.num_prompts + (1 if seq.has_cls else 0)
-    patches = T.slice_axis(seq.tokens, 1, start, start + seq.num_patches)
-    logits = T.linear(patches, params["head.weight"], params["head.bias"])
+    logits = T.linear(seq.head_tokens("segmentation"), params["head.weight"], params["head.bias"])
     b = seq.tokens.shape[0]
     return T.reshape(logits, (b, cfg.grid_h, cfg.grid_w, cfg.num_classes))

@@ -566,9 +566,11 @@ def test_desk_dvpt_step_tape_length(desk_cfg, desk_dvpt):
         training.batch_loss(model, images, rng.integers(0, 5, size=4))
     # per block: attention residual 15 (layernorm, 3 linear, 6 head views,
     # attention, transpose, reshape, linear, add), FFN residual 5, adapter
-    # branch 9, branch add 1; prompts 3, head 3, cross-entropy 7.  The
-    # frozen patch embedding records nothing.
-    assert len(tape) == desk_cfg.depth * 30 + 3 + 3 + 7 == 133
+    # branch 9, branch add 1; the last block also cuts the head rows from
+    # the FFN residual's two reads and from the branch (3 slices); prompts
+    # 3, head 2 (mean, linear: its input holds only the rows it reads),
+    # cross-entropy 7.  The frozen patch embedding records nothing.
+    assert len(tape) == desk_cfg.depth * 30 + 3 + 3 + 2 + 7 == 135
 
 
 def _reference_kernels(x, gamma, beta, og, eps=1e-5):

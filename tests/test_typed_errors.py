@@ -148,6 +148,20 @@ _CASES = {  # name -> (call taking a scratch directory, error type, message rege
         lambda tmp: _on_desk_model(
             lambda m, p, ds: train_loop(m, ds.images, ds.labels, p, 1, seed=1.5)),
         ConfigError, r"^\[optimizer\] seed must be an integer, got 1\.5$"),
+    "train_loop with lr '0.1'": (
+        lambda tmp: _on_desk_model(
+            lambda m, p, ds: train_loop(m, ds.images, ds.labels, p, 1, lr="0.1")),
+        ConfigError, r"^\[optimizer\] lr must be a real number, got '0\.1'$"),
+    "train_loop with lr None": (
+        lambda tmp: _on_desk_model(
+            lambda m, p, ds: train_loop(m, ds.images, ds.labels, p, 1, lr=None)),
+        ConfigError, r"^\[optimizer\] lr must be a real number, got None$"),
+    "DvptConfig gate_init '0'": (
+        lambda tmp: DvptConfig(gate_init="0").validate(VitConfig()),
+        ConfigError, r"^gate_init must be a real number, got '0'$"),
+    "synth_generate with difficulty None": (
+        lambda tmp: synth_generate("classification", 2, seed=1, difficulty=None),
+        DatasetError, r"^difficulty must be a real number, got None$"),
     "predict on ragged images": (
         lambda tmp: _on_desk_model(lambda m, p, ds: predict(m, _RAGGED)),
         ContractError, rf"^images {_NOT_ONE_ARRAY}"),
@@ -168,6 +182,11 @@ _CASES = {  # name -> (call taking a scratch directory, error type, message rege
             lambda m, p, ds: grad_check(m, ds.images[:2], ds.labels[:2], samples=2.5),
             dtype=np.float64),
         ContractError, r"^grad_check samples must be an integer, got 2\.5$"),
+    "grad_check with tol '1'": (
+        lambda tmp: _on_desk_model(
+            lambda m, p, ds: grad_check(m, ds.images[:2], ds.labels[:2], tol="1"),
+            dtype=np.float64),
+        ContractError, r"^grad_check tol must be a real number, got '1'$"),
     "CLI dataset file of another task": (
         _load_dataset_of_another_task,
         ConfigError, r"^dataset task 'segmentation' does not match \[run\] task 'classification'$"),
